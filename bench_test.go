@@ -169,7 +169,7 @@ func BenchmarkLTF(b *testing.B) {
 // points: for each window size k, the construction cost (ns/op) plus the
 // resulting schedule's stage count and latency bound as custom metrics.
 // k=1 is the plain loop; k>1 scores per-window candidate strategies under
-// the chunk transaction and keeps the best. Part of the CI perf gate.
+// a window transaction and keeps the best. Part of the CI perf gate.
 func BenchmarkLTFLookahead(b *testing.B) {
 	for _, algo := range []string{"ltf", "rltf"} {
 		for _, k := range []int{1, 2, 4} {
@@ -321,35 +321,8 @@ func populateSystem(m, n int) *oneport.System {
 	return s
 }
 
-// BenchmarkSnapshotRestore measures the pre-transactional rollback
-// strategy — capture all 3m timelines by deep copy (buffer-reused, as the
-// deleted oneport.SnapshotInto did), then restore by swap — which the
-// reverse-mode retry ladder used to pay per task. Kept as the recorded
-// contrast for BenchmarkTxnRollback: O(total reservations) per rollback
-// point, independent of how little actually changed.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	const m = 20
-	s := populateSystem(m, 2000)
-	var live, snap []*timeline.Timeline
-	for u := 0; u < m; u++ {
-		pu := platform.ProcID(u)
-		live = append(live, s.Comp(pu).Clone(), s.Send(pu).Clone(), s.Recv(pu).Clone())
-	}
-	for range live {
-		snap = append(snap, &timeline.Timeline{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, tl := range live {
-			snap[j].CopyFrom(tl)
-		}
-		live, snap = snap, live // the RestoreSwap analogue
-	}
-}
-
-// BenchmarkTxnRollback measures the journaled replacement on the same
-// committed backdrop: one op takes a rollback mark, commits two replicas'
+// BenchmarkTxnRollback measures the journaled rollback on a committed
+// backdrop: one op takes a rollback mark, commits two replicas'
 // worth of reservations (two transfers and a compute each, the reverse-mode
 // retry shape), and rolls them back — O(changes), not O(total reservations).
 func BenchmarkTxnRollback(b *testing.B) {

@@ -167,23 +167,89 @@ func beginInsideClosure(s *oneport.System) func() {
 	}
 }
 
-// --- mapper task transactions ---
+// --- mapper transactions ---
 
-func taskOK(st *mapper.State, ok bool) {
-	st.BeginTask(3)
+func mapperOK(st *mapper.State, ok bool) {
+	st.Begin(3)
 	if ok {
-		st.CommitTask()
+		st.Commit()
 	} else {
-		st.AbortTask()
+		st.Abort()
 	}
 }
 
-func taskLeak(st *mapper.State, bad bool) {
-	st.BeginTask(3) // want `task transaction begun here may not reach Commit or Abort`
+func mapperLeak(st *mapper.State, bad bool) {
+	st.Begin(3) // want `mapper transaction begun here may not reach Commit or Abort`
 	if bad {
 		return
 	}
-	st.CommitTask()
+	st.Commit()
+}
+
+func mapperDeferred(st *mapper.State) {
+	st.Begin(3)
+	defer st.Abort()
+}
+
+// --- nested mapper transactions: a resolution closes the innermost ---
+
+func nestedOK(st *mapper.State, keep bool) {
+	st.Begin(1, 2)
+	st.Begin(2)
+	if keep {
+		st.Commit()
+	} else {
+		st.Abort()
+	}
+	st.Abort()
+}
+
+func nestedOuterLeak(st *mapper.State) {
+	st.Begin(1, 2) // want `mapper transaction begun here may not reach Commit or Abort`
+	st.Begin(2)
+	st.Abort()
+}
+
+func nestedEarlyReturn(st *mapper.State, bad bool) {
+	st.Begin(1, 2) // want `mapper transaction begun here may not reach Commit or Abort`
+	st.Begin(2)
+	if bad {
+		st.Abort() // resolves only the inner transaction
+		return
+	}
+	st.Commit()
+	st.Commit()
+}
+
+// nestedWindow is the speculative lookahead shape: one transaction per
+// candidate window placement, a per-task ladder nested inside it.
+func nestedWindow(st *mapper.State, tasks []int, fail func() bool) {
+	for v := 0; v < 2; v++ {
+		st.Begin(tasks...)
+		for _, t := range tasks {
+			st.Begin(t)
+			if fail() {
+				st.Abort()
+				continue
+			}
+			st.Commit()
+		}
+		st.Abort()
+	}
+}
+
+// nestedWindowLeak breaks out with the inner transaction open, so the
+// trailing Abort resolves the inner one and the window's stays open.
+func nestedWindowLeak(st *mapper.State, tasks []int, fail func() bool) {
+	st.Begin(tasks...) // want `mapper transaction begun here may not reach Commit or Abort`
+	for _, t := range tasks {
+		st.Begin(t)
+		if fail() {
+			break
+		}
+		st.Commit()
+	}
+	st.Abort()
 }
 
 // --- suppression ---

@@ -1,12 +1,11 @@
 // Package txncheck verifies the transactional-timeline protocol
-// (DESIGN.md §4, §9). A oneport.System.Begin or mapper.State.BeginTask
-// opens a journaled transaction; the journal mark it takes is only
-// released by Commit or Abort (CommitTask/AbortTask), and a transaction
-// that escapes without resolution leaves the journal pinned — every later
-// Rollback replays its entries, and the LIFO discipline panics on the
-// next out-of-order resolve. Modeled on x/tools' lostcancel, the analyzer
-// checks, for every Begin site, that Commit or Abort is reached on all
-// paths out of the enclosing function:
+// (DESIGN.md §4, §9). A oneport.System.Begin or mapper.State.Begin opens a
+// journaled transaction; the journal mark it takes is only released by
+// Commit or Abort, and a transaction that escapes without resolution leaves
+// the journal pinned — every later Rollback replays its entries, and the
+// LIFO discipline panics on the next out-of-order resolve. Modeled on
+// x/tools' lostcancel, the analyzer checks, for every Begin site, that
+// Commit or Abort is reached on all paths out of the enclosing function:
 //
 //   - discarding the Begin result (`sys.Begin()`, `_ = sys.Begin()`) is
 //     always a leak — nothing can ever resolve the transaction,
@@ -16,6 +15,11 @@
 //     returned, stored in a composite, passed by value, address taken —
 //     is flagged separately: a stale Txn copy can outlive its journal
 //     mark and resolve it twice.
+//
+// mapper transactions have no value to track: State.Commit and State.Abort
+// resolve the innermost live one. The interpretation therefore counts the
+// mapper Begin calls nested inside a site's transaction, and only a
+// resolution at nesting depth zero closes the site.
 //
 // The analysis is a structured abstract interpretation of the function
 // body (if/for/range/switch/select, labeled break/continue, fallthrough,
@@ -40,7 +44,7 @@ import (
 // Analyzer is the transaction-resolution checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "txncheck",
-	Doc:  "every oneport Begin / mapper BeginTask must reach Commit or Abort on all paths, and Txn values must not escape",
+	Doc:  "every oneport Begin / mapper State.Begin must reach Commit or Abort on all paths, and Txn values must not escape",
 	Run:  run,
 }
 
@@ -91,12 +95,12 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// beginSite is one Begin/BeginTask call in a function scope.
+// beginSite is one oneport or mapper Begin call in a function scope.
 type beginSite struct {
-	call *ast.CallExpr
-	kind string     // "Begin" or "BeginTask"
-	obj  *types.Var // the Txn variable, nil for BeginTask or discarded results
-	bad  string     // non-empty: misuse report instead of path analysis
+	call   *ast.CallExpr
+	mapper bool       // a mapper.State.Begin site
+	obj    *types.Var // the Txn variable, nil for mapper sites or discarded results
+	bad    string     // non-empty: misuse report instead of path analysis
 }
 
 func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
@@ -110,8 +114,8 @@ func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
 		switch {
 		case analysis.IsMethod(fn, oneportPath, "System", "Begin"):
 			sites = append(sites, classifyBegin(pass, call, parents))
-		case analysis.IsMethod(fn, mapperPath, "State", "BeginTask"):
-			sites = append(sites, beginSite{call: call, kind: "BeginTask"})
+		case analysis.IsMethod(fn, mapperPath, "State", "Begin"):
+			sites = append(sites, beginSite{call: call, mapper: true})
 		}
 	})
 	return sites
@@ -120,7 +124,7 @@ func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
 // classifyBegin inspects how the Begin result is consumed: bound to a
 // local (tracked), discarded (always a leak) or anything else (escape).
 func classifyBegin(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node) beginSite {
-	site := beginSite{call: call, kind: "Begin"}
+	site := beginSite{call: call}
 	if len(parents) == 0 {
 		site.bad = "result of Begin discarded: nothing can Commit or Abort this transaction"
 		return site
@@ -165,10 +169,10 @@ func checkSite(pass *analysis.Pass, body *ast.BlockStmt, site beginSite) {
 	if in.bail {
 		return // goto: unanalyzable, stay silent
 	}
-	if in.leaked || f.fall&sOpen != 0 {
+	if in.leaked || f.fall&sOpenAny != 0 {
 		what := "transaction"
-		if site.kind == "BeginTask" {
-			what = "task transaction"
+		if site.mapper {
+			what = "mapper transaction"
 		}
 		pass.Reportf(site.call.Pos(),
 			"%s begun here may not reach Commit or Abort on every path out of the function",
@@ -248,10 +252,17 @@ func walkScope(body *ast.BlockStmt, visit func(n ast.Node, parents []ast.Node)) 
 type mask uint8
 
 const (
-	sNot  mask = 1 << iota // Begin not yet executed on this path
-	sOpen                  // begun, not resolved
-	sRes                   // resolved (Commit/Abort reached or deferred)
+	sNot mask = 1 << iota // Begin not yet executed on this path
+	sRes                  // resolved (Commit/Abort reached or deferred)
+	// sOpen is begun, not resolved. For a mapper site, sOpen<<d is open
+	// beneath d nested mapper transactions (saturating at the top bit), so
+	// a resolution shifts every open state down one level and depth zero
+	// lands on sRes.
+	sOpen
 )
+
+// sOpenAny covers every open state, at any nesting depth.
+const sOpenAny = ^(sNot | sRes)
 
 // flow summarizes executing a statement (list): the states that fall
 // through, and the states carried by break/continue, keyed by label
@@ -359,7 +370,7 @@ func (i *interp) stmt(s ast.Stmt, in mask, label string) flow {
 
 	case *ast.ReturnStmt:
 		out := i.transfer(s, in)
-		if out&sOpen != 0 {
+		if out&sOpenAny != 0 {
 			i.leaked = true
 		}
 		return flow{}
@@ -431,7 +442,7 @@ func (i *interp) stmt(s ast.Stmt, in mask, label string) flow {
 
 	case *ast.DeferStmt:
 		if i.resolvesDeferred(s) {
-			return flow{fall: resolveMask(in)}
+			return flow{fall: resolveAll(in)}
 		}
 		return flow{fall: i.transfer(s, in)}
 
@@ -474,13 +485,13 @@ func (i *interp) switchClauses(clauses []ast.Stmt, in mask, label string) flow {
 	return f
 }
 
-// loop interprets for/range bodies to a fixpoint over the 3-state mask.
+// loop interprets for/range bodies to a fixpoint over the state mask.
 // condExit: the loop can be left when its condition fails (for-with-cond,
 // range); a bare `for` only exits through break.
 func (i *interp) loop(body *ast.BlockStmt, post ast.Stmt, entry mask, condExit bool, label string) flow {
 	bodyIn := entry
 	var bf flow
-	for iter := 0; iter < 4; iter++ {
+	for iter := 0; iter < 8; iter++ { // the mask grows monotonically over 8 bits
 		bf = i.stmtList(body.List, bodyIn)
 		next := bodyIn | i.transfer(post, bf.fall|takeCont(&bf, label))
 		if next == bodyIn {
@@ -500,8 +511,9 @@ func (i *interp) loop(body *ast.BlockStmt, post ast.Stmt, entry mask, condExit b
 }
 
 // transfer applies the state transition of a straight-line statement:
-// a Begin at this site opens the transaction; a matching resolve call
-// closes it. Nested function literals are opaque.
+// a Begin at this site opens the transaction; another mapper Begin nests
+// an open mapper site one level deeper; a matching resolve call closes it
+// (or, nested, lifts it one level). Nested function literals are opaque.
 func (i *interp) transfer(n ast.Node, in mask) mask {
 	if n == nil || in == 0 {
 		return in
@@ -518,34 +530,53 @@ func (i *interp) transfer(n ast.Node, in mask) mask {
 		switch {
 		case call == i.site.call:
 			out = sOpen
+		case i.site.mapper && analysis.IsMethod(analysis.CalleeFunc(i.pass.TypesInfo, call), mapperPath, "State", "Begin"):
+			out = nest(out)
 		case i.isResolve(call):
-			out = resolveMask(out)
+			out = i.resolve(out)
 		}
 		return true
 	})
 	return out
 }
 
-// resolveMask moves open (and already-resolved) states to resolved;
-// not-yet-begun paths are unaffected.
-func resolveMask(in mask) mask {
-	if in&(sOpen|sRes) != 0 {
-		return (in & sNot) | sRes
+// resolve applies one Commit/Abort: a Txn resolution closes every open
+// state, a mapper resolution lifts each open state one nesting level
+// (sOpen>>1 is sRes). Not-yet-begun paths are unaffected.
+func (i *interp) resolve(in mask) mask {
+	if !i.site.mapper {
+		return resolveAll(in)
+	}
+	return in&^sOpenAny | (in&sOpenAny)>>1
+}
+
+// nest pushes every open state one mapper nesting level deeper; the
+// deepest level saturates.
+func nest(in mask) mask {
+	const deepest = sOpenAny &^ (sOpenAny >> 1)
+	open := in & sOpenAny
+	return in&^sOpenAny | open<<1 | open&deepest
+}
+
+// resolveAll moves every open state to resolved.
+func resolveAll(in mask) mask {
+	if in&sOpenAny != 0 {
+		return in&^sOpenAny | sRes
 	}
 	return in
 }
 
 // isResolve reports whether call resolves this site's transaction:
-// Commit/Abort on the tracked Txn variable, or CommitTask/AbortTask for a
-// BeginTask site.
+// Commit/Abort on the tracked Txn variable, or State.Commit/Abort for a
+// mapper site.
 func (i *interp) isResolve(call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(i.pass.TypesInfo, call)
 	if fn == nil {
 		return false
 	}
-	if i.site.kind == "BeginTask" {
-		return analysis.IsMethod(fn, mapperPath, "State", "CommitTask") ||
-			analysis.IsMethod(fn, mapperPath, "State", "AbortTask")
+	if i.site.mapper {
+		return analysis.IsMethod(fn, mapperPath, "State", "Commit") ||
+			analysis.IsMethod(fn, mapperPath, "State", "Abort")
 	}
 	if !analysis.IsMethod(fn, oneportPath, "Txn", "Commit") &&
 		!analysis.IsMethod(fn, oneportPath, "Txn", "Abort") {

@@ -3,7 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"streamsched/internal/dag"
@@ -257,13 +263,47 @@ func TestSolverLookahead(t *testing.T) {
 		if !bytes.Equal(base, one) {
 			t.Fatalf("%v: WithLookahead(1) schedule differs from the default", algo)
 		}
-		// k > 1 schedules must stay valid under the full invariant check.
+		// k > 1 schedules must stay valid under the full invariant check and
+		// reproduce their goldens byte for byte: speculative placement nests
+		// transactions, and a rollback that restores the wrong state would
+		// still validate.
 		for _, k := range []int{2, 4} {
 			sched := solve(WithLookahead(k))
 			if err := sched.Validate(); err != nil {
 				t.Fatalf("%v lookahead %d: invalid schedule: %v", algo, k, err)
 			}
+			got, err := json.Marshal(sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("lookahead_%s_k%d.json", strings.ToLower(strings.ReplaceAll(algo.String(), "-", "")), k)
+			checkGolden(t, filepath.Join("testdata", "golden", name), append(got, '\n'))
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden files")
+
+// checkGolden compares got against the golden file at path, or rewrites the
+// file under -update-golden. Regenerate only for an intentional algorithmic
+// change, never to paper over an equivalence break.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("schedule diverges from golden %s (%d vs %d bytes)", path, len(got), len(want))
 	}
 }
 

@@ -32,11 +32,12 @@ type Options struct {
 	// DESIGN.md §E9).
 	DisableOneToOne bool
 	// Lookahead enables speculative chunk placement (DESIGN.md §7): windows
-	// of k ready tasks are placed once per candidate strategy under a chunk
-	// transaction (mapper.BeginChunk journaling), each complete placement is
-	// scored by (max stage, max finish) over the window, and the best is
-	// kept. 0 or 1 disables speculation and reproduces the plain chunked
-	// loop exactly; k > 1 trades construction time for schedule quality.
+	// of k ready tasks are placed once per candidate strategy under one
+	// transaction over the window (mapper.State.Begin), each complete
+	// placement is scored by (max stage, max finish) over the window, and
+	// the best is kept. 0 or 1 disables speculation and reproduces the
+	// plain chunked loop exactly; k > 1 trades construction time for
+	// schedule quality.
 	Lookahead int
 }
 
@@ -95,12 +96,12 @@ func run(ctx context.Context, st *mapper.State, chunkSize, lookahead int, better
 // one-to-one procedure or every copy through the fallback — because a
 // mixture would leave the consumers that are no chain's head fed only by
 // the fallback copies, an untracked vulnerability (see mapper's discipline
-// note). A mid-way one-to-one failure rolls the task back through the task
-// transaction's journal mark.
+// note). A mid-way one-to-one failure rolls the task back through its
+// transaction.
 //
 // With lookahead > 1 the loop pops windows of k ready tasks and places each
 // window speculatively (placeChunkSpeculative): every candidate strategy is
-// built in full under a chunk transaction, scored, rolled back, and the best
+// built in full under a window transaction, scored, rolled back, and the best
 // one re-run for keeps. lookahead <= 1 is the plain loop, bit for bit.
 func runWith(ctx context.Context, st *mapper.State, chunkSize, lookahead int, betterFor func(dag.TaskID) mapper.Better) error {
 	// Tracing is per chunk, not per placement: a chunk is the coarsest unit
@@ -209,7 +210,7 @@ func placeChunkReverse(st *mapper.State, chunk []dag.TaskID, reversed bool, bett
 }
 
 // placeChunkSpeculative is the lookahead driver: each placement strategy
-// builds the whole window under a chunk transaction, the complete placements
+// builds the whole window under one transaction, the complete placements
 // are scored by (max stage, max finish) over the window's replicas — lower
 // is better, ties keep the earlier variant — and after every variant has
 // been rolled back the winner re-runs for keeps (the machinery is
@@ -222,20 +223,20 @@ func placeChunkSpeculative(st *mapper.State, chunk []dag.TaskID, betterFor func(
 	bestStage, bestFin := 0, 0.0
 	var firstErr error
 	for v := 0; v < variants; v++ {
-		st.BeginChunk(chunk)
+		st.Begin(chunk...)
 		err := placeChunkVariant(st, chunk, v, betterFor, cs)
 		if err != nil {
 			if v == 0 {
 				firstErr = err
 			}
-			st.AbortChunk()
+			st.Abort()
 			continue
 		}
 		stage, fin := windowScore(st, chunk)
 		if best < 0 || stage < bestStage || (stage == bestStage && fin < bestFin) {
 			best, bestStage, bestFin = v, stage, fin
 		}
-		st.AbortChunk()
+		st.Abort()
 	}
 	if best < 0 {
 		return firstErr
@@ -278,8 +279,9 @@ func windowScore(st *mapper.State, chunk []dag.TaskID) (stage int, fin float64) 
 // comparator first; if the aggressive merging runs the chains into a wall,
 // a full chain with the finish-time comparator (which spreads load); and
 // only then the all-fallback placement with its (ε+1)²-per-edge
-// communications. Each failed rung rolls back through the task transaction
-// (journaled undo, O(changes)).
+// communications. Each failed rung rolls back through the task's
+// transaction (journaled undo, O(changes)); inside a speculative window it
+// nests in the window's transaction.
 func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better, sp obs.SpanRef) error {
 	if !st.OneToOneOff && st.Theta(st.Pools(t)) >= st.Eps+1 {
 		for rung := 0; rung < 2; rung++ {
@@ -288,7 +290,7 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 				b = mapper.MinFinish
 			}
 			pools := st.Pools(t)
-			st.BeginTask(t)
+			st.Begin(t)
 			ok := true
 			for n := 0; n <= st.Eps; n++ {
 				if !st.OneToOne(t, n, pools, b) {
@@ -297,10 +299,10 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 				}
 			}
 			if ok {
-				st.CommitTask()
+				st.Commit()
 				return nil
 			}
-			st.AbortTask()
+			st.Abort()
 			if sp.Active() {
 				sp.Event("rollback", map[string]any{"task": int(t), "rung": rung})
 			}

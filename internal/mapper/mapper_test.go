@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -269,14 +270,14 @@ func TestTaskTransactionRollback(t *testing.T) {
 	st := newState(t, g, 4, 1, 100)
 	st.ReverseMode = true
 	pools := st.Pools(dag.TaskID(0))
-	st.BeginTask(0)
+	st.Begin(0)
 	if !st.OneToOne(0, 0, pools, MinFinish) {
 		t.Fatal("one-to-one failed")
 	}
 	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) == nil {
 		t.Fatal("replica missing after placement")
 	}
-	st.AbortTask()
+	st.Abort()
 	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) != nil {
 		t.Fatal("replica survived rollback")
 	}
@@ -289,6 +290,108 @@ func TestTaskTransactionRollback(t *testing.T) {
 	// Placement works again after rollback.
 	if !st.OneToOne(0, 0, st.Pools(dag.TaskID(0)), MinFinish) {
 		t.Fatal("placement after rollback failed")
+	}
+}
+
+// txnView captures the state a transaction must restore, for comparison
+// across a rollback.
+type txnView struct {
+	sigma, cIn, cOut []float64
+	claims           [][]uint64
+	copyProcs        [][]uint64
+	replicas         []bool
+	stages           []int
+	timelines        []int
+}
+
+func viewState(st *State) txnView {
+	v := txnView{
+		sigma: append([]float64(nil), st.Sigma...),
+		cIn:   append([]float64(nil), st.CIn...),
+		cOut:  append([]float64(nil), st.COut...),
+	}
+	for task := 0; task < st.G.NumTasks(); task++ {
+		v.copyProcs = append(v.copyProcs, append([]uint64(nil), st.copyProcs.At(task)...))
+		for c := 0; c <= st.Eps; c++ {
+			ref := schedule.Ref{Task: dag.TaskID(task), Copy: c}
+			v.claims = append(v.claims, append([]uint64(nil), st.ClaimSet(ref.Task, c)...))
+			v.replicas = append(v.replicas, st.Sched.Replica(ref) != nil)
+			v.stages = append(v.stages, st.ReplicaStage(ref))
+		}
+	}
+	for u := 0; u < st.P.NumProcs(); u++ {
+		pu := platform.ProcID(u)
+		v.timelines = append(v.timelines, st.Sys.Comp(pu).Len(), st.Sys.Send(pu).Len(), st.Sys.Recv(pu).Len())
+	}
+	return v
+}
+
+// TestNestedTransactionRollback drives the lookahead shape — a window
+// transaction over two tasks with a per-task transaction nested inside —
+// and checks that the outer Abort restores the pre-Begin state whether the
+// inner transaction aborted or committed.
+func TestNestedTransactionRollback(t *testing.T) {
+	for _, inner := range []string{"abort", "commit"} {
+		t.Run(inner, func(t *testing.T) {
+			g := dag.New("ab")
+			a := g.AddTask("a", 1)
+			b := g.AddTask("b", 1)
+			st := newState(t, g, 4, 1, 100)
+			st.ReverseMode = true
+			before := viewState(st)
+			rollbacks := st.Phases.Rollbacks
+
+			st.Begin(a, b)
+			if !st.OneToOne(a, 0, st.Pools(a), MinFinish) || !st.OneToOne(a, 1, st.Pools(a), MinFinish) {
+				t.Fatal("placing a failed")
+			}
+			st.Begin(b)
+			if !st.OneToOne(b, 0, st.Pools(b), MinFinish) {
+				t.Fatal("placing b failed")
+			}
+			if inner == "abort" {
+				st.Abort()
+				if st.Sched.Replica(schedule.Ref{Task: b, Copy: 0}) != nil {
+					t.Fatal("inner abort kept b's replica")
+				}
+				if st.Sched.Replica(schedule.Ref{Task: a, Copy: 1}) == nil {
+					t.Fatal("inner abort withdrew the outer transaction's replica")
+				}
+			} else {
+				st.Commit()
+			}
+			st.Abort()
+
+			if got := viewState(st); !reflect.DeepEqual(got, before) {
+				t.Fatalf("state after outer abort:\n%+v\nwant\n%+v", got, before)
+			}
+			want := rollbacks + 1
+			if inner == "abort" {
+				want++
+			}
+			if st.Phases.Rollbacks != want {
+				t.Fatalf("Rollbacks = %d, want %d", st.Phases.Rollbacks, want)
+			}
+		})
+	}
+}
+
+func TestTransactionResolveWithoutBeginPanics(t *testing.T) {
+	for name, resolve := range map[string]func(*State){
+		"commit": (*State).Commit,
+		"abort":  (*State).Abort,
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := newState(t, chainAB(), 4, 1, 100)
+			st.Begin(0)
+			st.Commit()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s without a live transaction did not panic", name)
+				}
+			}()
+			resolve(st)
+		})
 	}
 }
 

@@ -561,138 +561,85 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 	return nil
 }
 
-// BeginTask opens the task transaction covering everything task t's replica
-// placements mutate, so a partially chained task can be rolled back and
-// retried in all-fallback mode (reverse construction must never mix chain
-// and fallback copies of one task: consumers that are no chain's head would
-// then receive inputs only from the fallback copies, an untracked
-// vulnerability — see the discipline note above). The one-port side is a
-// journal mark — AbortTask rewinds the timelines in O(changes) instead of
-// restoring a 3m-timeline deep copy; the small per-processor load vectors
-// and the claims span are still captured by value into State-owned scratch.
-// At most one task transaction is live at a time (the retry ladder is
-// sequential); close it with CommitTask or AbortTask.
-func (st *State) BeginTask(t dag.TaskID) {
-	if st.snapLive {
-		panic("mapper: BeginTask while a task transaction is live")
-	}
-	st.snapLive = true
-	st.snapTask = t
-	st.snapMark = st.Sys.Mark()
-	st.snapSigma = append(st.snapSigma[:0], st.Sigma...)
-	st.snapCIn = append(st.snapCIn[:0], st.CIn...)
-	st.snapCOut = append(st.snapCOut[:0], st.COut...)
-	st.snapClaims = st.claims.Snapshot(st.snapClaims)
-	st.snapCopyProcs = append(st.snapCopyProcs[:0], st.copyProcs.At(int(t))...)
-}
-
-// CommitTask closes the task transaction, keeping every placement made
-// since BeginTask.
-func (st *State) CommitTask() {
-	if !st.snapLive {
-		panic("mapper: CommitTask without a live task transaction")
-	}
-	st.snapLive = false
-}
-
-// AbortTask rolls the state back to the BeginTask point, withdrawing any
-// replicas of the transaction's task placed since.
-func (st *State) AbortTask() {
-	if !st.snapLive {
-		panic("mapper: AbortTask without a live task transaction")
-	}
-	st.snapLive = false
-	st.Phases.Rollbacks++
-	st.Sys.Rollback(st.snapMark)
-	copy(st.Sigma, st.snapSigma)
-	copy(st.CIn, st.snapCIn)
-	copy(st.COut, st.snapCOut)
-	st.claims.Restore(st.snapClaims)
-	st.copyProcs.At(int(st.snapTask)).CopyFrom(st.snapCopyProcs)
-	for _, ref := range schedule.ReplicaRefs(st.snapTask, st.Eps) {
-		if st.Sched.Replica(ref) != nil {
-			st.Sched.RemoveReplica(ref)
+// Begin opens a transaction covering everything the placement of the listed
+// tasks' replicas mutates, so a partial placement can be rolled back and
+// retried. Transactions nest LIFO: the reverse-mode retry ladder opens one
+// per task — a partially chained task is retried in all-fallback mode,
+// because mixing chain and fallback copies of one task would leave the
+// consumers that are no chain's head fed only by the fallback copies, an
+// untracked vulnerability (see the discipline note above) — and the
+// speculative lookahead (ltf.Options.Lookahead) opens one per candidate
+// placement of a whole window, with the ladder's frames inside it. A nested
+// transaction may list only tasks its parent lists: the parent's Abort
+// restores exactly its own tasks.
+//
+// The one-port side is a journal mark, rewound in O(changes); the small
+// per-processor load vectors, the claims span and the listed tasks'
+// copyProcs rows are captured by value into a reusable frame. The ready heap
+// and precedence counters are not captured: callers pop the tasks before
+// Begin and mark them scheduled only after the transaction resolves. Close
+// every transaction with Commit or Abort.
+func (st *State) Begin(tasks ...dag.TaskID) {
+	if st.depth > 0 {
+		parent := st.txns[st.depth-1].tasks
+		for _, t := range tasks {
+			if !slices.Contains(parent, t) {
+				panic("mapper: nested transaction lists a task its parent does not")
+			}
 		}
-		i := st.refIdx(ref.Task, ref.Copy)
-		st.stage[i] = 0
-		st.supp[i] = nil
 	}
-}
-
-// BeginChunk opens the chunk transaction covering everything the placement
-// of a whole task window mutates — the multi-task analogue of BeginTask, and
-// the journal machinery behind the speculative lookahead (ltf.Options
-// .Lookahead): a candidate placement of the window is built in full, scored,
-// and either kept or rewound in O(changes). The ready heap and precedence
-// counters are deliberately not captured: the window is popped before the
-// transaction opens and only marked scheduled after it resolves, so they do
-// not change in between. Reverse mode runs its single-task retry ladder
-// (BeginTask/AbortTask) inside a chunk transaction; the one-port journal
-// marks nest LIFO, and the two transactions keep disjoint scratch buffers.
-func (st *State) BeginChunk(tasks []dag.TaskID) {
-	if st.chunkLive {
-		panic("mapper: BeginChunk while a chunk transaction is live")
+	if st.depth == len(st.txns) {
+		st.txns = append(st.txns, txnFrame{})
 	}
-	if st.snapLive {
-		panic("mapper: BeginChunk inside a task transaction")
-	}
-	st.chunkLive = true
-	st.chunkTasks = append(st.chunkTasks[:0], tasks...)
-	st.chunkMark = st.Sys.Mark()
-	st.chunkSigma = append(st.chunkSigma[:0], st.Sigma...)
-	st.chunkCIn = append(st.chunkCIn[:0], st.CIn...)
-	st.chunkCOut = append(st.chunkCOut[:0], st.COut...)
-	st.chunkClaims = st.claims.Snapshot(st.chunkClaims)
-	st.chunkCopyProcs = st.chunkCopyProcs[:0]
+	f := &st.txns[st.depth]
+	st.depth++
+	f.tasks = append(f.tasks[:0], tasks...)
+	f.mark = st.Sys.Mark()
+	f.sigma = append(f.sigma[:0], st.Sigma...)
+	f.cIn = append(f.cIn[:0], st.CIn...)
+	f.cOut = append(f.cOut[:0], st.COut...)
+	f.claims = st.claims.Snapshot(f.claims)
+	f.copyProcs = f.copyProcs[:0]
 	for _, t := range tasks {
-		st.chunkCopyProcs = append(st.chunkCopyProcs, st.copyProcs.At(int(t))...)
+		f.copyProcs = append(f.copyProcs, st.copyProcs.At(int(t))...)
 	}
 }
 
-// CommitChunk closes the chunk transaction, keeping every placement made
-// since BeginChunk.
-func (st *State) CommitChunk() {
-	if !st.chunkLive {
-		panic("mapper: CommitChunk without a live chunk transaction")
-	}
-	if st.snapLive {
-		panic("mapper: CommitChunk with a live task transaction")
-	}
-	st.chunkLive = false
-}
+// Commit closes the innermost transaction, keeping every placement made
+// since its Begin; an enclosing transaction can still roll them back.
+func (st *State) Commit() { st.popTxn() }
 
-// AbortChunk rolls the state back to the BeginChunk point, withdrawing every
-// replica of the window tasks placed since.
-func (st *State) AbortChunk() {
-	if !st.chunkLive {
-		panic("mapper: AbortChunk without a live chunk transaction")
-	}
-	if st.snapLive {
-		panic("mapper: AbortChunk with a live task transaction")
-	}
-	st.chunkLive = false
+// Abort rolls the state back to the innermost transaction's Begin point,
+// withdrawing every replica of its tasks placed since.
+func (st *State) Abort() {
+	f := st.popTxn()
 	st.Phases.Rollbacks++
-	st.Sys.Rollback(st.chunkMark)
-	copy(st.Sigma, st.chunkSigma)
-	copy(st.CIn, st.chunkCIn)
-	copy(st.COut, st.chunkCOut)
-	st.claims.Restore(st.chunkClaims)
-	if n := len(st.chunkTasks); n > 0 {
-		w := len(st.chunkCopyProcs) / n
-		for i, t := range st.chunkTasks {
-			st.copyProcs.At(int(t)).CopyFrom(st.chunkCopyProcs[i*w : (i+1)*w])
-		}
-	}
-	for _, t := range st.chunkTasks {
-		for _, ref := range schedule.ReplicaRefs(t, st.Eps) {
-			if st.Sched.Replica(ref) != nil {
+	st.Sys.Rollback(f.mark)
+	copy(st.Sigma, f.sigma)
+	copy(st.CIn, f.cIn)
+	copy(st.COut, f.cOut)
+	st.claims.Restore(f.claims)
+	for i, t := range f.tasks {
+		row := st.copyProcs.At(int(t))
+		row.CopyFrom(f.copyProcs[i*len(row) : (i+1)*len(row)])
+		for c := 0; c <= st.Eps; c++ {
+			if ref := (schedule.Ref{Task: t, Copy: c}); st.Sched.Replica(ref) != nil {
 				st.Sched.RemoveReplica(ref)
 			}
-			i := st.refIdx(ref.Task, ref.Copy)
-			st.stage[i] = 0
-			st.supp[i] = nil
+			k := st.refIdx(t, c)
+			st.stage[k] = 0
+			st.supp[k] = nil
 		}
 	}
+}
+
+// popTxn removes and returns the innermost transaction frame.
+func (st *State) popTxn() *txnFrame {
+	if st.depth == 0 {
+		panic("mapper: Commit or Abort without a live transaction")
+	}
+	st.depth--
+	return &st.txns[st.depth]
 }
 
 // MaxPredStage returns the largest stage number among the placed replicas of

@@ -61,8 +61,8 @@ type PhaseCounters struct {
 	Trials int64
 	// Placements counts replicas committed (CommitPlace).
 	Placements int64
-	// Rollbacks counts task transactions unwound (AbortTask), i.e. retry
-	// ladder rungs abandoned with a journal rollback.
+	// Rollbacks counts transactions unwound (Abort): retry-ladder rungs
+	// abandoned and speculative window placements discarded.
 	Rollbacks int64
 	// Fallbacks counts replicas committed via full communication
 	// replication (Fallback).
@@ -111,7 +111,7 @@ type State struct {
 	// index refIdx(t,c): the processors whose failure can invalidate the
 	// replica through its chain inputs. The reliability invariant keeps the
 	// claims of one task's copies pairwise disjoint (see the discipline note
-	// in place.go). A flat span, so task snapshots copy it wholesale.
+	// in place.go). A flat span, so transactions copy it wholesale.
 	claims *bitset.Span
 	// copyProcs set t records which processors already host a copy of t —
 	// the hard exclusion (two copies of one task must never share a
@@ -155,32 +155,21 @@ type State struct {
 	commBuf     []schedule.Comm   // CommitPlace: staged incoming comms
 	tagBuf      []byte            // commTag assembly
 
-	// Task-transaction scratch (BeginTask/AbortTask). The retry ladder holds
-	// at most one task transaction at a time, so one set of buffers serves
-	// the whole construction; the one-port side needs no buffers at all —
-	// the journal mark snapMark rewinds it in O(changes).
-	snapLive      bool
-	snapTask      dag.TaskID
-	snapMark      oneport.Mark
-	snapSigma     []float64
-	snapCIn       []float64
-	snapCOut      []float64
-	snapClaims    bitset.Set
-	snapCopyProcs bitset.Set
+	// txns is the transaction stack (Begin/Commit/Abort): txns[:depth] are
+	// the live frames, innermost last; the frames beyond depth keep their
+	// buffers for reuse, so steady-state transactions allocate nothing.
+	txns  []txnFrame
+	depth int
+}
 
-	// Chunk-transaction scratch (BeginChunk/AbortChunk), used by the
-	// speculative lookahead to journal a whole k-task placement window.
-	// Reverse mode nests the single-task retry ladder (BeginTask/AbortTask)
-	// inside a chunk transaction, so the two keep disjoint buffers; the
-	// copyProcs rows of every window task are packed consecutively.
-	chunkLive      bool
-	chunkTasks     []dag.TaskID
-	chunkMark      oneport.Mark
-	chunkSigma     []float64
-	chunkCIn       []float64
-	chunkCOut      []float64
-	chunkClaims    bitset.Set
-	chunkCopyProcs bitset.Set
+// txnFrame is one transaction's rollback point: the one-port journal mark
+// plus by-value copies of the state the journal does not cover.
+type txnFrame struct {
+	tasks            []dag.TaskID
+	mark             oneport.Mark
+	sigma, cIn, cOut []float64
+	claims           bitset.Set
+	copyProcs        bitset.Set // the tasks' rows, packed consecutively
 }
 
 // predEdge is one (predecessor, volume) entry of predVol.

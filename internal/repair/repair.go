@@ -134,15 +134,15 @@ func Repair(ctx context.Context, old *schedule.Schedule, newP *platform.Platform
 // replayTask recommits every replica of t at its prescribed placement
 // inside one task transaction; any failure rolls the whole task back.
 func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.BeginTask(t)
+	st.Begin(t)
 	for c := 0; c <= st.Eps; c++ {
 		pl, ok := prescribed(st, old, remap, t, c)
 		if !ok || !st.ReplayPlace(t, c, pl) {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 	}
-	st.CommitTask()
+	st.Commit()
 	return true
 }
 
@@ -154,21 +154,21 @@ func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcI
 // chains in particular — at the price of wider transfers, which the
 // condition-(1) port budgets re-admit or reject per copy.
 func preserveTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.BeginTask(t)
+	st.Begin(t)
 	for c := 0; c <= st.Eps; c++ {
 		r := old.Replica(schedule.Ref{Task: t, Copy: c})
 		u := remap[r.Proc]
 		if u < 0 {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 		pl := mapper.ReplayPlacement{Proc: u, Sources: st.AllSources(t)}
 		if !st.ReplayPlace(t, c, pl) {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 	}
-	st.CommitTask()
+	st.Commit()
 	return true
 }
 

@@ -41,7 +41,7 @@ type Options struct {
 	DisableOneToOne bool
 	// Lookahead enables speculative chunk placement, exactly as in
 	// ltf.Options: 0 or 1 is the plain loop, k > 1 scores k-task windows
-	// per candidate strategy under a chunk transaction and keeps the best.
+	// per candidate strategy under a window transaction and keeps the best.
 	Lookahead int
 }
 

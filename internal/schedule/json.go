@@ -84,7 +84,9 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 
 // LoadJSON reconstructs a schedule previously serialized with MarshalJSON,
 // re-binding it to the given graph and platform (which must match the
-// serialized dimensions).
+// serialized dimensions). The document may come from outside the program:
+// every task, copy and processor index in it is range-checked, so a
+// malformed schedule is an error, never a panic.
 func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error) {
 	var in jsonSchedule
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -99,8 +101,22 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 	if in.Period <= 0 {
 		return nil, fmt.Errorf("schedule: non-positive period %v", in.Period)
 	}
+	if in.Eps < 0 {
+		return nil, fmt.Errorf("schedule: negative eps %d", in.Eps)
+	}
 	s := New(g, p, in.Eps, in.Period, in.Algorithm)
 	for _, jr := range in.Replicas {
+		if err := checkRef(jr.Task, jr.Copy, in); err != nil {
+			return nil, fmt.Errorf("schedule: replica: %w", err)
+		}
+		if jr.Proc < 0 || jr.Proc >= in.Procs {
+			return nil, fmt.Errorf("schedule: replica of task %d: proc %d out of range [0,%d)", jr.Task, jr.Proc, in.Procs)
+		}
+		for _, c := range jr.In {
+			if err := checkRef(c.FromTask, c.FromCopy, in); err != nil {
+				return nil, fmt.Errorf("schedule: comm into task %d: %w", jr.Task, err)
+			}
+		}
 		rep := &Replica{
 			Ref:    Ref{Task: dag.TaskID(jr.Task), Copy: jr.Copy},
 			Proc:   platform.ProcID(jr.Proc),
@@ -118,4 +134,16 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 		s.AddReplica(rep)
 	}
 	return s, nil
+}
+
+// checkRef range-checks a serialized (task, copy) reference against the
+// document's task count and replication degree.
+func checkRef(task, cp int, in jsonSchedule) error {
+	if task < 0 || task >= in.Tasks {
+		return fmt.Errorf("task %d out of range [0,%d)", task, in.Tasks)
+	}
+	if cp < 0 || cp > in.Eps {
+		return fmt.Errorf("copy %d out of range [0,%d]", cp, in.Eps)
+	}
+	return nil
 }

@@ -10,15 +10,15 @@ package service
 // hot path is budgeted tighter than that.
 //
 // Panic isolation. Flights run in detached goroutines, where an
-// unrecovered panic kills the whole process, not just a request. Every
-// flight body is therefore wrapped by recoverFault: a panic becomes an
-// ErrInternalPanic-wrapped error fulfilled to the flight's waiters, the
-// panics counter increments, and the admission slot is released by the
-// unwound defers. The requester that led the flight reports the failure
+// unrecovered panic kills the whole process, not just a request. The
+// flight body, computeFlight, therefore defers recoverFault: a panic
+// becomes an ErrInternalPanic-wrapped error fulfilled to the flight's
+// waiters, the panics counter increments, and the admission slot is
+// released by the unwound defers. The requester that led the flight reports the failure
 // (HTTP 500 with the stable "internal-panic" token); coalesced followers
 // do NOT inherit it — a panic is not a property of the problem, so
-// followers retry the pipeline (solveProblem/replanProblem loop) and one
-// of them leads a fresh flight. Retries are bounded: a deterministically
+// followers retry the pipeline (Handle.resolve's loop) and one of them
+// leads a fresh flight. Retries are bounded: a deterministically
 // panicking flight (site policy "always") surfaces the failure after
 // maxPanicRetries rather than spinning.
 

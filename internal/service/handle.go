@@ -8,24 +8,27 @@ package service
 // client of streamschedd. Server (server.go) is a thin HTTP adapter over a
 // Handle: it decodes wire DTOs, delegates here, and renders responses.
 //
-// Request lifecycle for Solve:
+// Every request is a keyed job: its canonical hash plus the computation a
+// led flight runs (solve or replan). One chain resolves every job:
 //
-//	canonical hash → cache (hit: return) → flight Claim
-//	  follower: wait for the flight's outcome (no queue slot consumed)
-//	  leader:   start the flight — admission (bounded queue → worker
-//	            slot) → solve → cache.Put → Fulfill — in a DETACHED
-//	            goroutine under the handle's own compute budget
-//	            (MaxTimeout), then wait on it like a follower
+//	resolve:       cache (hit: return) → flight Claim
+//	  follower:    wait for the flight's outcome (no queue slot consumed)
+//	  leader:      start runFlight in a DETACHED goroutine under the
+//	               handle's own compute budget (MaxTimeout), then wait on
+//	               it like a follower
+//	runFlight:     computeFlight → Fulfill
+//	computeFlight: panic boundary → cache recheck → admission (bounded
+//	               queue → worker slot) → compute → cache.Put
+//	compute:       fault sites → the job's computation → render
 //
 // Detaching the computation from the leader's caller context is what
 // makes coalescing sound: a leader that gives up, or whose deadline is
 // shorter than a follower's, must not poison the followers with its
 // context error. Every caller honors its own deadline while waiting; the
 // work itself always runs to completion (within MaxTimeout) and lands in
-// the cache. Replan runs the same lifecycle keyed by ReplanHash — the
-// (problem, schedule, delta, policy) tuple — in the same cache and flight
-// map as Solve (the key spaces are disjoint by construction: distinct
-// leading magics).
+// the cache. A replan job is keyed by ReplanHash — the (problem, schedule,
+// delta, policy) tuple — in the same cache and flight map as solve jobs
+// (the key spaces are disjoint by construction: distinct leading magics).
 
 import (
 	"context"
@@ -230,11 +233,10 @@ func (h *Handle) Solve(ctx context.Context, sp Spec) (Outcome, error) {
 	if err := sp.validate(); err != nil {
 		return Outcome{}, err
 	}
-	out, hash, state, err := h.solveProblem(ctx, sp.Graph, sp.Platform, sp.Solver)
-	if err != nil {
-		return Outcome{Hash: hash}, err
-	}
-	return publish(out, hash, state), nil
+	hs := obs.FromContext(ctx).Child("hash")
+	hash := ProblemHash(sp.Graph, sp.Platform, sp.Solver)
+	hs.End()
+	return h.resolve(ctx, h.solveJob(hash, sp))
 }
 
 // Replan resolves one replan request through the same cache → coalescing →
@@ -250,11 +252,7 @@ func (h *Handle) Replan(ctx context.Context, sp ReplanSpec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	out, state, err := h.replanProblem(ctx, hash, sp)
-	if err != nil {
-		return Outcome{Hash: hash}, err
-	}
-	return publish(out, hash, state), nil
+	return h.resolve(ctx, h.replanJob(hash, sp))
 }
 
 // SolveBatch resolves many problems, returning one result per spec in
@@ -278,14 +276,13 @@ func (h *Handle) SolveBatch(ctx context.Context, specs []Spec) []BatchResult {
 		if it.err = sp.validate(); it.err != nil {
 			continue
 		}
-		it.g, it.p, it.sv = sp.Graph, sp.Platform, sp.Solver
-		it.hash = ProblemHash(it.g, it.p, it.sv)
-		if out, ok := h.cache.Get(it.hash); ok {
+		it.job = h.solveJob(ProblemHash(sp.Graph, sp.Platform, sp.Solver), sp)
+		if out, ok := h.cache.Get(it.job.hash); ok {
 			h.m.cacheHits.Add(1)
 			it.out, it.state = out, hitCache
 			continue
 		}
-		f, leader, err := h.claimFlight(it.hash)
+		f, leader, err := h.claimFlight(it.job.hash)
 		if err != nil {
 			it.err = err
 			continue
@@ -316,14 +313,15 @@ func (h *Handle) SolveBatch(ctx context.Context, specs []Spec) []BatchResult {
 			if errors.Is(it.err, ErrInternalPanic) {
 				// The foreign flight this item coalesced onto panicked;
 				// retry through the full pipeline like any follower.
-				it.out, _, it.state, it.err = h.solveProblem(ctx, it.g, it.p, it.sv)
+				results[i].Outcome, results[i].Err = h.resolve(ctx, it.job)
+				continue
 			}
 		}
 		if it.err != nil {
-			results[i] = BatchResult{Outcome: Outcome{Hash: it.hash}, Err: it.err}
+			results[i] = BatchResult{Outcome: Outcome{Hash: it.job.hash}, Err: it.err}
 			continue
 		}
-		results[i] = BatchResult{Outcome: publish(it.out, it.hash, it.state)}
+		results[i] = BatchResult{Outcome: publish(it.out, it.job.hash, it.state)}
 	}
 	return results
 }
@@ -368,87 +366,86 @@ const (
 	hitCoalesced
 )
 
-// solveProblem resolves one problem through cache → coalescing → admission
-// → solver. Every returned outcome has exactly one of sched/infeas set;
-// err covers everything else (queue full, deadline, draining, solver
-// fault). The caller waits under its own ctx; the underlying computation
-// runs detached (see the file header). A follower whose leader's flight
-// panicked re-enters the pipeline — the panic is the leader's failure, not
-// the problem's — bounded by maxPanicRetries so a deterministically
-// panicking computation still surfaces.
-func (h *Handle) solveProblem(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, string, hitState, error) {
+// job is one keyed computation: the canonical cache key and the work a led
+// flight runs for it, returning the schedule and, for a replan, the repair
+// statistics.
+type job struct {
+	hash string
+	run  func(ctx context.Context) (*schedule.Schedule, *core.RepairStats, error)
+}
+
+// solveJob is the job of one solve request keyed by its problem hash.
+func (h *Handle) solveJob(hash string, sp Spec) job {
+	return job{hash: hash, run: func(ctx context.Context) (*schedule.Schedule, *core.RepairStats, error) {
+		sched, err := h.solve(ctx, sp.Solver, sp.Graph, sp.Platform)
+		return sched, nil, err
+	}}
+}
+
+// replanJob is the job of one replan request keyed by its replan hash. Its
+// solve span is tagged kind=replan.
+func (h *Handle) replanJob(hash string, sp ReplanSpec) job {
+	return job{hash: hash, run: func(ctx context.Context) (*schedule.Schedule, *core.RepairStats, error) {
+		if ss := obs.FromContext(ctx); ss.Active() {
+			ss.SetArg("kind", "replan")
+		}
+		res, err := h.replan(ctx, sp.Solver, sp.Old, sp.Delta,
+			core.WithRepairBudget(sp.RepairBudget), core.WithColdFallback(!sp.NoColdFallback))
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Schedule, &res.Stats, nil
+	}}
+}
+
+// resolve runs j through cache → coalescing → admission → computation.
+// Every returned outcome has exactly one of Schedule/Infeasible set; err
+// covers everything else (queue full, deadline, draining, solver fault).
+// The caller waits under its own ctx; the computation runs detached (see
+// the file header). A follower whose leader's flight panicked re-enters
+// the pipeline — the panic is the leader's failure, not the problem's —
+// bounded by maxPanicRetries so a deterministically panicking computation
+// still surfaces.
+func (h *Handle) resolve(ctx context.Context, j job) (Outcome, error) {
 	sp := obs.FromContext(ctx)
-	hs := sp.Child("hash")
-	hash := ProblemHash(g, p, sv)
-	hs.End()
 	for attempt := 0; ; attempt++ {
 		cs := sp.Child("cache")
-		out, ok := h.cache.Get(hash)
+		out, ok := h.cache.Get(j.hash)
 		cs.End()
 		if ok {
 			h.m.cacheHits.Add(1)
-			return out, hash, hitCache, nil
+			return publish(out, j.hash, hitCache), nil
 		}
-		f, leader, err := h.claimFlight(hash)
+		f, leader, err := h.claimFlight(j.hash)
 		if err != nil {
-			return outcome{}, hash, hitSolved, err
+			return Outcome{Hash: j.hash}, err
 		}
+		state, cw := hitSolved, obs.SpanRef{}
 		if leader {
 			h.m.cacheMisses.Add(1)
-			go h.runFlight(hash, f, g, p, sv, sp)
-			out, err := f.Wait(ctx)
-			return out, hash, hitSolved, err
+			go h.runFlight(j, f, sp)
+		} else {
+			h.m.coalesced.Add(1)
+			state, cw = hitCoalesced, sp.Child("coalesce")
 		}
-		h.m.coalesced.Add(1)
-		cw := sp.Child("coalesce")
 		out, err = f.Wait(ctx)
 		cw.End()
-		if errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
-			continue
+		if err != nil {
+			if !leader && errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
+				continue
+			}
+			return Outcome{Hash: j.hash}, err
 		}
-		return out, hash, hitCoalesced, err
+		return publish(out, j.hash, state), nil
 	}
 }
 
-// replanProblem is solveProblem for a replan request, keyed by the
-// precomputed replan hash.
-func (h *Handle) replanProblem(ctx context.Context, hash string, sp ReplanSpec) (outcome, hitState, error) {
-	tsp := obs.FromContext(ctx)
-	for attempt := 0; ; attempt++ {
-		cs := tsp.Child("cache")
-		out, ok := h.cache.Get(hash)
-		cs.End()
-		if ok {
-			h.m.cacheHits.Add(1)
-			return out, hitCache, nil
-		}
-		f, leader, err := h.claimFlight(hash)
-		if err != nil {
-			return outcome{}, hitSolved, err
-		}
-		if leader {
-			h.m.cacheMisses.Add(1)
-			go h.runReplanFlight(hash, f, sp, tsp)
-			out, err := f.Wait(ctx)
-			return out, hitSolved, err
-		}
-		h.m.coalesced.Add(1)
-		cw := tsp.Child("coalesce")
-		out, err = f.Wait(ctx)
-		cw.End()
-		if errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
-			continue
-		}
-		return out, hitCoalesced, err
-	}
-}
-
-// runFlight executes one claimed flight — admission, solve, cache fill,
-// fulfillment — under the handle's own compute budget, independent of any
-// requester's context. Queue-full is decided immediately (admit rejects
-// without blocking when the bound is exceeded), so a rejected flight
-// resolves at once.
-func (h *Handle) runFlight(hash string, f *flight, g *dag.Graph, p *platform.Platform, sv *core.Solver, tsp obs.SpanRef) {
+// runFlight executes one claimed flight — computeFlight, then fulfillment
+// — under the handle's own compute budget, independent of any requester's
+// context. Queue-full is decided immediately (admit rejects without
+// blocking when the bound is exceeded), so a rejected flight resolves at
+// once.
+func (h *Handle) runFlight(j job, f *flight, tsp obs.SpanRef) {
 	// Registered before Fulfill's work so it runs after it: when the drain
 	// WaitGroup clears, every flight's outcome is committed to the cache.
 	defer h.flightWG.Done()
@@ -459,70 +456,33 @@ func (h *Handle) runFlight(hash string, f *flight, g *dag.Graph, p *platform.Pla
 	// detached context. An abandoned flight keeps writing to the trace
 	// after Finish — recorded, never raced (obs.Trace is mutex'd).
 	fs := tsp.Child("flight")
-	ctx = obs.ContextWith(ctx, fs)
-	out, err := h.computeFlightSafe(ctx, hash, g, p, sv)
+	out, err := h.computeFlight(obs.ContextWith(ctx, fs), j)
 	fs.End()
-	h.flights.Fulfill(hash, f, out, err)
+	h.flights.Fulfill(j.hash, f, out, err)
 }
 
-// runReplanFlight is runFlight for a replan flight.
-func (h *Handle) runReplanFlight(hash string, f *flight, sp ReplanSpec, tsp obs.SpanRef) {
-	defer h.flightWG.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
-	defer cancel()
-	fs := tsp.Child("flight")
-	ctx = obs.ContextWith(ctx, fs)
-	out, err := h.computeReplanFlightSafe(ctx, hash, sp)
-	fs.End()
-	h.flights.Fulfill(hash, f, out, err)
-}
-
-// computeFlightSafe is computeFlight behind the panic isolation boundary:
+// computeFlight resolves a led flight behind the panic isolation boundary:
 // a panic anywhere below (solver fault or injected) unwinds the admission
 // defers, becomes an ErrInternalPanic error for the flight's waiters, and
 // never reaches the detached goroutine's top — where it would kill the
-// process, not a request.
-func (h *Handle) computeFlightSafe(ctx context.Context, hash string, g *dag.Graph, p *platform.Platform, sv *core.Solver) (out outcome, err error) {
+// process, not a request. Inside the boundary: one last cache check — a
+// previous flight may have fulfilled and vanished between this requester's
+// cache miss and its Claim, and recomputing an already-cached key would
+// break the "equal hashes compute once" invariant — then an
+// admission-bounded computation whose result fills the cache.
+func (h *Handle) computeFlight(ctx context.Context, j job) (out outcome, err error) {
 	defer h.recoverFault(&err)
-	return h.computeFlight(ctx, hash, g, p, sv)
-}
-
-// computeReplanFlightSafe is the panic isolation boundary of a replan
-// flight.
-func (h *Handle) computeReplanFlightSafe(ctx context.Context, hash string, sp ReplanSpec) (out outcome, err error) {
-	defer h.recoverFault(&err)
-	return h.computeReplanFlight(ctx, hash, sp)
-}
-
-// computeFlight resolves a led flight: one last cache check — a previous
-// flight may have fulfilled and vanished between this requester's cache
-// miss and its Claim, and re-solving an already-cached problem would break
-// the "equal hashes solve once" invariant — then an admission-bounded
-// solve whose result fills the cache.
-func (h *Handle) computeFlight(ctx context.Context, hash string, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
-	if out, ok := h.cache.Get(hash); ok {
-		return out, nil
-	}
-	out, err := h.solveAdmitted(ctx, g, p, sv)
-	if err == nil {
-		h.cache.Put(hash, out)
-	}
-	return out, err
-}
-
-// computeReplanFlight is computeFlight for a replan flight.
-func (h *Handle) computeReplanFlight(ctx context.Context, hash string, sp ReplanSpec) (outcome, error) {
-	if out, ok := h.cache.Get(hash); ok {
-		return out, nil
+	if cached, ok := h.cache.Get(j.hash); ok {
+		return cached, nil
 	}
 	release, err := h.admitTraced(ctx)
 	if err != nil {
 		return outcome{}, err
 	}
 	defer release()
-	out, err := h.computeReplan(ctx, sp)
+	out, err = h.compute(ctx, j)
 	if err == nil {
-		h.cache.Put(hash, out)
+		h.cache.Put(j.hash, out)
 	}
 	return out, err
 }
@@ -536,16 +496,18 @@ func (h *Handle) admitTraced(ctx context.Context) (release func(), err error) {
 	return release, err
 }
 
-// compute runs the underlying solver and folds typed infeasibility into
-// the outcome (it is a result, not a failure).
-func (h *Handle) compute(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
+// compute runs the job's computation and folds typed infeasibility into
+// the outcome (it is a result, not a failure). It counts as a solver
+// invocation: the coalescing and caching invariants ("equal hashes compute
+// once") are asserted against solveCalls.
+func (h *Handle) compute(ctx context.Context, j job) (outcome, error) {
 	if err := h.injectFlightFaults(ctx); err != nil {
 		return outcome{}, err
 	}
 	h.m.solveCalls.Add(1)
 	sp := obs.FromContext(ctx)
 	ss := sp.Child("solve")
-	sched, err := h.solve(obs.ContextWith(ctx, ss), sv, g, p)
+	sched, stats, err := j.run(obs.ContextWith(ctx, ss))
 	ss.End()
 	if err != nil {
 		return foldInfeasible(err)
@@ -553,57 +515,16 @@ func (h *Handle) compute(ctx context.Context, g *dag.Graph, p *platform.Platform
 	rs := sp.Child("render")
 	out, err := renderOutcome(sched)
 	rs.End()
-	return out, err
-}
-
-// computeReplan runs the underlying replan and folds typed infeasibility.
-// It counts as a solver invocation: the coalescing and caching invariants
-// ("equal hashes compute once") are asserted against solveCalls.
-func (h *Handle) computeReplan(ctx context.Context, sp ReplanSpec) (outcome, error) {
-	if err := h.injectFlightFaults(ctx); err != nil {
-		return outcome{}, err
-	}
-	h.m.solveCalls.Add(1)
-	tsp := obs.FromContext(ctx)
-	ss := tsp.Child("solve")
-	if ss.Active() {
-		ss.SetArg("kind", "replan")
-	}
-	opts := []core.ReplanOption{core.WithRepairBudget(sp.RepairBudget), core.WithColdFallback(!sp.NoColdFallback)}
-	res, err := h.replan(obs.ContextWith(ctx, ss), sp.Solver, sp.Old, sp.Delta, opts...)
-	ss.End()
-	if err != nil {
-		return foldInfeasible(err)
-	}
-	rs := tsp.Child("render")
-	out, err := renderOutcome(res.Schedule)
-	rs.End()
 	if err != nil {
 		return outcome{}, err
 	}
-	stats := res.Stats
-	out.replan = &stats
+	out.replan = stats
 	return out, nil
-}
-
-// solveAdmitted is one admission-bounded solve: acquire a work unit, run
-// the solver, fold infeasibility, render.
-func (h *Handle) solveAdmitted(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
-	release, err := h.admitTraced(ctx)
-	if err != nil {
-		return outcome{}, err
-	}
-	defer release()
-	return h.compute(ctx, g, p, sv)
 }
 
 // batchItem tracks one problem of a batch through the pipeline.
 type batchItem struct {
-	g    *dag.Graph
-	p    *platform.Platform
-	sv   *core.Solver
-	hash string
-
+	job    job
 	out    outcome
 	state  hitState
 	err    error
@@ -627,21 +548,19 @@ func (h *Handle) runBatchFlights(leaders []int, items []batchItem, tsp obs.SpanR
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
 	defer cancel()
+	// The hook runs each item's own job; the requests only size the pool.
 	reqs := make([]core.Request, len(leaders))
-	for k, i := range leaders {
-		reqs[k] = core.Request{Graph: items[i].g, Platform: items[i].p}
-	}
 	fulfilled := make([]bool, len(leaders)) // per-lane writes, no sharing
 	batch := core.Batch{Workers: h.cfg.Workers}
 	results := batch.SolveFunc(ctx, reqs, func(ctx context.Context, k int, _ core.Request) (*schedule.Schedule, error) {
 		it := &items[leaders[k]]
 		fs := tsp.Child("flight")
 		if fs.Active() {
-			fs.SetArg("hash", it.hash[:12])
+			fs.SetArg("hash", it.job.hash[:12])
 		}
-		out, err := h.computeFlightSafe(obs.ContextWith(ctx, fs), it.hash, it.g, it.p, it.sv)
+		out, err := h.computeFlight(obs.ContextWith(ctx, fs), it.job)
 		fs.End()
-		h.flights.Fulfill(it.hash, it.lead, out, err)
+		h.flights.Fulfill(it.job.hash, it.lead, out, err)
 		fulfilled[k] = true
 		return nil, err // the flight already carries the outcome
 	})
@@ -650,7 +569,7 @@ func (h *Handle) runBatchFlights(leaders []int, items []batchItem, tsp obs.SpanR
 	// hang until their own deadlines.
 	for k, i := range leaders {
 		if !fulfilled[k] {
-			h.flights.Fulfill(items[i].hash, items[i].lead, outcome{}, results[k].Err)
+			h.flights.Fulfill(items[i].job.hash, items[i].lead, outcome{}, results[k].Err)
 		}
 	}
 }

@@ -4,7 +4,8 @@ package service
 // a replan round-trips (200 with a schedule, a summary and the repair
 // statistics; the repeat is a cache hit), malformed requests — unsupported
 // schema version, options/schedule mismatch, invalid delta, negative
-// budget — are 400s decided before any work is admitted, an exceeded
+// budget, out-of-range committed schedule — are 400s decided before any
+// work is admitted, an exceeded
 // budget with the cold fallback disabled is a 409, N concurrent identical
 // replans coalesce into exactly one underlying computation, and replan
 // and solve traffic share the cache without poisoning each other's
@@ -130,11 +131,27 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 			return r
 		},
 		"negative budget": func() ReplanRequest { r := good; r.RepairBudget = -1; return r },
+		// Malformed committed schedules are client errors, not panics.
+		"replica task out of range": func() ReplanRequest {
+			return editSchedule(t, good, func(m map[string]any) { firstReplica(m)["task"] = 999 })
+		},
+		"replica copy out of range": func() ReplanRequest {
+			return editSchedule(t, good, func(m map[string]any) { firstReplica(m)["copy"] = 9 })
+		},
+		"replica proc out of range": func() ReplanRequest {
+			return editSchedule(t, good, func(m map[string]any) { firstReplica(m)["proc"] = 999 })
+		},
+		"negative schedule eps": func() ReplanRequest {
+			return editSchedule(t, good, func(m map[string]any) { m["eps"] = -1 })
+		},
 	}
 	for name, build := range cases {
 		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/replan", build())
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, data)
+		}
+		if m := srv.Metrics(); m.Panics != 0 {
+			t.Fatalf("%s: panics counter = %d, want 0", name, m.Panics)
 		}
 		if name == "bad version" {
 			var rr ReplanResponse
@@ -144,6 +161,28 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// editSchedule returns a copy of r whose committed schedule JSON has been
+// rewritten by edit.
+func editSchedule(t *testing.T, r ReplanRequest, edit func(map[string]any)) ReplanRequest {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(r.Schedule, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Schedule = raw
+	return r
+}
+
+// firstReplica returns the first replica object of a decoded schedule.
+func firstReplica(m map[string]any) map[string]any {
+	return m["replicas"].([]any)[0].(map[string]any)
 }
 
 // TestReplanBudgetConflict: a replan whose repair budget is exceeded with

@@ -143,7 +143,7 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP routing table, wrapped in the
 // last-resort panic recovery middleware: a panic that escapes a handler
-// goroutine (as opposed to a detached flight, which computeFlightSafe
+// goroutine (as opposed to a detached flight, which computeFlight
 // isolates) becomes a 500 with the stable "internal-panic" token instead
 // of net/http's connection reset.
 func (s *Server) Handler() http.Handler {
@@ -641,41 +641,37 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	if s.Draining() {
-		s.writeError(w, ErrDraining)
-		return
-	}
 	// Solve through the shared cache/coalescing path (same hash space as
 	// /v1/solve), then run the sweep as its own admitted work unit. The
 	// two acquisitions are sequential, never nested, so a Workers=1 server
 	// cannot deadlock against its own solve.
-	out, hash, state, err := s.solveProblem(ctx, g, p, sv)
+	out, err := s.Solve(ctx, Spec{Graph: g, Platform: p, Solver: sv})
 	if err != nil {
-		setTraceOutcome(sp, hash, "error")
+		setTraceOutcome(sp, out.Hash, "error")
 		s.writeError(w, err)
 		return
 	}
-	setTraceOutcome(sp, hash, "simulated")
+	setTraceOutcome(sp, out.Hash, "simulated")
 	resp := SimulateResponse{
 		SchemaVersion: Version,
-		Hash:          hash,
-		Cached:        state == hitCache,
-		Coalesced:     state == hitCoalesced,
+		Hash:          out.Hash,
+		Cached:        out.Cached,
+		Coalesced:     out.Coalesced,
 	}
-	if out.infeas != nil {
-		resp.Infeasible = out.infeas
+	if out.Infeasible != nil {
+		resp.Infeasible = out.Infeasible
 		s.writeJSON(w, http.StatusConflict, resp)
 		return
 	}
-	resp.Summary = out.summary
+	resp.Summary = out.Summary
 
-	sched := out.sched
+	sched := out.Schedule
 	if sched == nil {
 		// The outcome was restored from a snapshot, which keeps only the
 		// rendered bytes (persist.go); rebuild the in-memory schedule from
 		// them against this request's decoded problem — an identical hash
 		// means an identical problem.
-		sched, err = schedule.LoadJSON(out.schedJSON, g, p)
+		sched, err = schedule.LoadJSON(out.ScheduleJSON, g, p)
 		if err != nil {
 			s.writeError(w, err)
 			return

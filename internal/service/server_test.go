@@ -413,7 +413,7 @@ func TestLeaderRechecksCacheAfterClaim(t *testing.T) {
 	if !leader {
 		t.Fatal("flight unexpectedly in progress")
 	}
-	srv.runFlight(hash, f, g, p, sv, obs.SpanRef{})
+	srv.runFlight(srv.solveJob(hash, Spec{Graph: g, Platform: p, Solver: sv}), f, obs.SpanRef{})
 	out, err := f.Wait(context.Background())
 	if err != nil || out.sched == nil {
 		t.Fatalf("flight did not resolve from cache: %v %+v", err, out)

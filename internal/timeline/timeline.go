@@ -161,16 +161,6 @@ func (tl *Timeline) Clone() *Timeline {
 	return c
 }
 
-// CopyFrom overwrites tl's reservations with the contents of o, reusing
-// tl's interval storage when it is large enough. It discards any journal
-// history — a wholesale overwrite cannot be undone record by record — so it
-// must not be used while rollback marks are outstanding.
-func (tl *Timeline) CopyFrom(o *Timeline) {
-	tl.busy = append(tl.busy[:0], o.busy...)
-	tl.journal = tl.journal[:0]
-	tl.bump()
-}
-
 // Reset removes all reservations and journal history.
 func (tl *Timeline) Reset() {
 	tl.busy = tl.busy[:0]
