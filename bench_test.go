@@ -344,9 +344,8 @@ func BenchmarkTxnRollback(b *testing.B) {
 
 // BenchmarkHeadsAvailCache measures the head-selection availability walk —
 // the earliest common send/recv gap per (source processor × target
-// processor), re-asked with identical arguments between commits — uncached
-// (the raw timeline walk singleCommFinish used to pay every time) and
-// through the system's per-port-pair cache.
+// processor), re-asked with identical arguments between commits — through
+// the system's per-port-pair cache.
 func BenchmarkHeadsAvailCache(b *testing.B) {
 	const m = 20
 	s := populateSystem(m, 2000)
@@ -365,14 +364,6 @@ func BenchmarkHeadsAvailCache(b *testing.B) {
 		}
 		return acc
 	}
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkFloat = sweep(func(from, to platform.ProcID, ready, dur float64) float64 {
-				return timeline.EarliestCommonGap(ready, dur, s.Send(from), s.Recv(to))
-			})
-		}
-	})
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

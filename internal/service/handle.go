@@ -2,11 +2,12 @@ package service
 
 // The in-process service API. Handle owns the full serving pipeline —
 // canonical hashing, the LRU result cache, single-flight coalescing,
-// admission (bounded queue + worker slots) and the metrics — with no HTTP
-// anywhere in sight: embedders call Solve/SolveBatch/Replan directly and
-// get the same caching, coalescing and backpressure behaviour as a remote
-// client of streamschedd. Server (server.go) is a thin HTTP adapter over a
-// Handle: it decodes wire DTOs, delegates here, and renders responses.
+// admission (bounded queue + worker slots), the simulate sweep and the
+// metrics — with no HTTP anywhere in sight: embedders call
+// Solve/SolveBatch/Replan directly and get the same caching, coalescing
+// and backpressure behaviour as a remote client of streamschedd. Server
+// (server.go) is a thin HTTP adapter over a Handle: it decodes wire DTOs,
+// delegates here, and renders responses.
 //
 // Every request is a keyed job: its canonical hash plus the computation a
 // led flight runs (solve or replan). One chain resolves every job:
@@ -29,10 +30,18 @@ package service
 // the cache. A replan job is keyed by ReplanHash — the (problem, schedule,
 // delta, policy) tuple — in the same cache and flight map as solve jobs
 // (the key spaces are disjoint by construction: distinct leading magics).
+//
+// Admission counts work units — a computing solve (each batch problem is
+// its own), a replan, a simulate sweep (one unit, taken after its solve's,
+// never nested in it) — and bounds them to Workers executing plus
+// QueueLimit waiting; beyond that, ErrQueueFull (HTTP 429). Cache hits and
+// coalesced followers bypass it: they consume no solver capacity.
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +49,11 @@ import (
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
 	"streamsched/internal/faultinject"
+	"streamsched/internal/infeas"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
+	"streamsched/internal/sim"
 )
 
 // ErrQueueFull is the admission rejection: the handle already has
@@ -512,14 +523,96 @@ func (h *Handle) compute(ctx context.Context, j job) (outcome, error) {
 	if err != nil {
 		return foldInfeasible(err)
 	}
+	// Render once, at solve time: cache hits reuse the bytes instead of
+	// re-marshalling the schedule.
 	rs := sp.Child("render")
-	out, err := renderOutcome(sched)
+	raw, err := json.Marshal(sched)
+	out := outcome{sched: sched, schedJSON: raw, summary: summarize(sched), replan: stats}
 	rs.End()
 	if err != nil {
-		return outcome{}, err
+		return outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
 	}
-	out.replan = stats
 	return out, nil
+}
+
+// foldInfeasible converts an infeasibility error into a cacheable outcome;
+// any other error propagates.
+func foldInfeasible(err error) (outcome, error) {
+	var ie *infeas.Error
+	if errors.As(err, &ie) {
+		return outcome{infeas: ie}, nil
+	}
+	if errors.Is(err, infeas.ErrInfeasible) {
+		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
+	}
+	return outcome{}, err
+}
+
+// simulate sweeps scenarios (none: one default scenario) over out, a
+// feasible outcome of sp, as its own admitted work unit under the
+// "simulate" span. One engine serves the whole sweep: the derived schedule
+// tables and the simulation buffers are built once and reused per
+// scenario.
+func (h *Handle) simulate(ctx context.Context, sp Spec, out Outcome, scenarios []Scenario) ([]ScenarioResult, error) {
+	sched := out.Schedule
+	if sched == nil {
+		// The outcome was restored from a snapshot, which keeps only the
+		// rendered bytes (persist.go); rebuild the in-memory schedule from
+		// them against sp — an identical hash means an identical problem.
+		var err error
+		if sched, err = schedule.LoadJSON(out.ScheduleJSON, sp.Graph, sp.Platform); err != nil {
+			return nil, err
+		}
+	}
+	if len(scenarios) == 0 {
+		scenarios = []Scenario{{}}
+	}
+	release, err := h.admitTraced(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	ss := obs.FromContext(ctx).Child("simulate")
+	defer ss.End()
+	if ss.Active() {
+		ss.SetArg("scenarios", len(scenarios))
+	}
+	eng, err := sim.NewEngine(sched)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]ScenarioResult, len(scenarios))
+	for i, sc := range scenarios {
+		cfg := sim.DefaultConfig(sched)
+		if sc.Items > 0 {
+			cfg.Items = sc.Items
+		}
+		if sc.Warmup > 0 {
+			cfg.Warmup = sc.Warmup
+		}
+		cfg.Synchronous = sc.Synchronous
+		if len(sc.CrashProcs) > 0 {
+			procs := make([]platform.ProcID, len(sc.CrashProcs))
+			for k, u := range sc.CrashProcs {
+				procs[k] = platform.ProcID(u)
+			}
+			cfg.Failures = sim.FailureSpec{Procs: procs, At: sc.CrashAt}
+		}
+		h.m.simRuns.Add(1)
+		res, err := eng.Run(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = ScenarioResult{
+			Name:           sc.Name,
+			MeanLatency:    jsonFloat(res.MeanLatency),
+			MaxLatency:     jsonFloat(res.MaxLatency),
+			AchievedPeriod: jsonFloat(res.AchievedPeriod),
+			Delivered:      res.Delivered,
+			Items:          res.Items,
+		}
+	}
+	return results, nil
 }
 
 // batchItem tracks one problem of a batch through the pipeline.

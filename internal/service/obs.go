@@ -66,7 +66,7 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 
 // requestLogEntry assembles the structured log record for a finished
 // trace. Hash and outcome are root-span args stamped by the handlers
-// (setTraceOutcome).
+// (settle).
 func requestLogEntry(tr *obs.Trace, r *http.Request, status int) RequestLogEntry {
 	e := RequestLogEntry{
 		TraceID:    tr.ID,

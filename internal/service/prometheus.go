@@ -44,6 +44,12 @@ func (p *promWriter) family(name, help, typ string) {
 	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
+// scalar emits a family of one unlabeled sample.
+func (p *promWriter) scalar(name, help, typ string, v float64) {
+	p.family(name, help, typ)
+	p.sample(name, "", v)
+}
+
 // sample emits one sample line; labels must be pre-rendered ("" for none).
 func (p *promWriter) sample(name, labels string, v float64) {
 	if labels != "" {
@@ -67,11 +73,11 @@ func (p *promWriter) labeledCounter(name, help, label string, m map[string]int64
 	}
 }
 
-// latency emits a LatencyStats window as a pseudo-summary: quantile
-// samples plus a _count. No _sum — the ring keeps no running total, and a
-// fabricated one would make rate(_sum)/rate(_count) silently wrong.
-func (p *promWriter) latency(name, help, labels string, l LatencyStats) {
-	p.family(name, help, "summary")
+// quantiles emits one LatencyStats window of a pseudo-summary family:
+// quantile samples plus a _count, under labels ("" for none). No _sum —
+// the ring keeps no running total, and a fabricated one would make
+// rate(_sum)/rate(_count) silently wrong.
+func (p *promWriter) quantiles(name, labels string, l LatencyStats) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -95,51 +101,34 @@ func boolGauge(b bool) float64 {
 func renderPrometheus(s MetricsSnapshot) []byte {
 	var p promWriter
 
-	p.family("streamsched_uptime_seconds", "Seconds since the handle started.", "gauge")
-	p.sample("streamsched_uptime_seconds", "", s.UptimeSeconds)
+	p.scalar("streamsched_uptime_seconds", "Seconds since the handle started.", "gauge", s.UptimeSeconds)
 
 	p.labeledCounter("streamsched_requests_total", "HTTP requests by endpoint.", "endpoint", s.Requests)
 	p.labeledCounter("streamsched_responses_total", "HTTP responses by status code.", "code", s.Responses)
 
-	p.family("streamsched_solve_calls_total", "Underlying solver invocations.", "counter")
-	p.sample("streamsched_solve_calls_total", "", float64(s.SolveCalls))
-	p.family("streamsched_sim_runs_total", "Scenario simulations executed.", "counter")
-	p.sample("streamsched_sim_runs_total", "", float64(s.SimRuns))
-	p.family("streamsched_coalesced_total", "Requests served by piggybacking on an in-flight solve.", "counter")
-	p.sample("streamsched_coalesced_total", "", float64(s.Coalesced))
-	p.family("streamsched_panics_total", "Flight panics recovered to 500s.", "counter")
-	p.sample("streamsched_panics_total", "", float64(s.Panics))
+	p.scalar("streamsched_solve_calls_total", "Underlying solver invocations.", "counter", float64(s.SolveCalls))
+	p.scalar("streamsched_sim_runs_total", "Scenario simulations executed.", "counter", float64(s.SimRuns))
+	p.scalar("streamsched_coalesced_total", "Requests served by piggybacking on an in-flight solve.", "counter", float64(s.Coalesced))
+	p.scalar("streamsched_panics_total", "Flight panics recovered to 500s.", "counter", float64(s.Panics))
 
-	p.family("streamsched_snapshot_writes_total", "Cache spills committed to disk.", "counter")
-	p.sample("streamsched_snapshot_writes_total", "", float64(s.SnapshotWrites))
-	p.family("streamsched_snapshot_replayed_total", "Cache entries restored by warm start.", "counter")
-	p.sample("streamsched_snapshot_replayed_total", "", float64(s.SnapshotReplayed))
-	p.family("streamsched_snapshot_skipped_total", "Snapshot entries rejected during replay.", "counter")
-	p.sample("streamsched_snapshot_skipped_total", "", float64(s.SnapshotSkipped))
+	p.scalar("streamsched_snapshot_writes_total", "Cache spills committed to disk.", "counter", float64(s.SnapshotWrites))
+	p.scalar("streamsched_snapshot_replayed_total", "Cache entries restored by warm start.", "counter", float64(s.SnapshotReplayed))
+	p.scalar("streamsched_snapshot_skipped_total", "Snapshot entries rejected during replay.", "counter", float64(s.SnapshotSkipped))
 
-	p.family("streamsched_draining", "1 while the handle is draining, else 0.", "gauge")
-	p.sample("streamsched_draining", "", boolGauge(s.Draining))
+	p.scalar("streamsched_draining", "1 while the handle is draining, else 0.", "gauge", boolGauge(s.Draining))
 
-	p.family("streamsched_cache_hits_total", "Result cache hits.", "counter")
-	p.sample("streamsched_cache_hits_total", "", float64(s.Cache.Hits))
-	p.family("streamsched_cache_misses_total", "Result cache misses.", "counter")
-	p.sample("streamsched_cache_misses_total", "", float64(s.Cache.Misses))
-	p.family("streamsched_cache_entries", "Result cache occupancy.", "gauge")
-	p.sample("streamsched_cache_entries", "", float64(s.Cache.Entries))
-	p.family("streamsched_cache_capacity", "Result cache capacity.", "gauge")
-	p.sample("streamsched_cache_capacity", "", float64(s.Cache.Capacity))
+	p.scalar("streamsched_cache_hits_total", "Result cache hits.", "counter", float64(s.Cache.Hits))
+	p.scalar("streamsched_cache_misses_total", "Result cache misses.", "counter", float64(s.Cache.Misses))
+	p.scalar("streamsched_cache_entries", "Result cache occupancy.", "gauge", float64(s.Cache.Entries))
+	p.scalar("streamsched_cache_capacity", "Result cache capacity.", "gauge", float64(s.Cache.Capacity))
 
-	p.family("streamsched_queue_depth", "Admitted work units waiting for a worker slot.", "gauge")
-	p.sample("streamsched_queue_depth", "", float64(s.Queue.Depth))
-	p.family("streamsched_queue_in_flight", "Work units executing.", "gauge")
-	p.sample("streamsched_queue_in_flight", "", float64(s.Queue.InFlight))
-	p.family("streamsched_queue_capacity", "Admission bound (workers + queue limit).", "gauge")
-	p.sample("streamsched_queue_capacity", "", float64(s.Queue.Capacity))
-	p.family("streamsched_queue_rejected_total", "Work units rejected by admission (429s).", "counter")
-	p.sample("streamsched_queue_rejected_total", "", float64(s.Queue.Rejected))
+	p.scalar("streamsched_queue_depth", "Admitted work units waiting for a worker slot.", "gauge", float64(s.Queue.Depth))
+	p.scalar("streamsched_queue_in_flight", "Work units executing.", "gauge", float64(s.Queue.InFlight))
+	p.scalar("streamsched_queue_capacity", "Admission bound (workers + queue limit).", "gauge", float64(s.Queue.Capacity))
+	p.scalar("streamsched_queue_rejected_total", "Work units rejected by admission (429s).", "counter", float64(s.Queue.Rejected))
 
-	p.latency("streamsched_request_latency_ms",
-		"Request latency; quantiles describe the recent ring window.", "", s.LatencyMs)
+	p.family("streamsched_request_latency_ms", "Request latency; quantiles describe the recent ring window.", "summary")
+	p.quantiles("streamsched_request_latency_ms", "", s.LatencyMs)
 
 	if len(s.StagesMs) > 0 {
 		stages := make([]string, 0, len(s.StagesMs))
@@ -150,13 +139,7 @@ func renderPrometheus(s MetricsSnapshot) []byte {
 		p.family("streamsched_stage_latency_ms",
 			"Per-pipeline-stage latency (traced requests only); quantiles describe the recent ring window.", "summary")
 		for _, name := range stages {
-			l := s.StagesMs[name]
-			labels := fmt.Sprintf("stage=%q", name)
-			p.sample("streamsched_stage_latency_ms", labels+`,quantile="0.5"`, l.P50)
-			p.sample("streamsched_stage_latency_ms", labels+`,quantile="0.9"`, l.P90)
-			p.sample("streamsched_stage_latency_ms", labels+`,quantile="0.99"`, l.P99)
-			p.sample("streamsched_stage_latency_ms", labels+`,quantile="1"`, l.Max)
-			p.sample("streamsched_stage_latency_ms_count", labels, float64(l.Count))
+			p.quantiles("streamsched_stage_latency_ms", fmt.Sprintf("stage=%q", name), s.StagesMs[name])
 		}
 	}
 

@@ -1,23 +1,24 @@
 package service
 
-// The HTTP adapter: routing, wire decoding and response rendering over the
-// in-process Handle (handle.go), which owns the whole pipeline — hashing,
-// cache, coalescing, admission, metrics. Nothing here computes; every
-// handler decodes its DTOs, pre-validates what must become a 400, delegates
-// to the Handle, and renders the outcome.
+// The HTTP adapter over the in-process Handle (handle.go), which owns the
+// whole pipeline — hashing, cache, coalescing, admission, the simulate
+// sweep, metrics. Nothing here computes. Every /v1 handler has one shape:
 //
-// Backpressure policy. Admission counts work units — individual solves
-// that must actually compute (a batch's problems are each their own
-// unit, so one batch cannot exceed the Workers bound by fanning out),
-// replans, and simulate sweeps. At most Workers units execute concurrently
-// and at most QueueLimit more may wait; a unit beyond that bound is
-// rejected immediately with 429 and a Retry-After hint — the client, not
-// the server, owns the retry budget. Cache hits and coalesced followers
-// bypass admission entirely: they consume no solver capacity, so
-// rejecting them would only waste work already done. Per-request
-// deadlines (TimeoutMs, clamped to MaxTimeout, default
-// Config.DefaultTimeout) bound the requester's wait including queueing;
-// an expired deadline surfaces as 504.
+//	route:  count the request and time it (one wrapper for the four routes)
+//	decode: in the decode span, refuse a non-POST (405 + Allow), an
+//	        oversized body (413), malformed JSON, an unsupported schema
+//	        version and whatever the endpoint's own check rejects (400
+//	        each); then apply the request's deadline
+//	Handle: Solve, SolveBatch, Replan, or Solve and the simulate sweep
+//	write:  settle stamps the trace outcome and refuses a pipeline error
+//	        with its status; a result renders in its endpoint's envelope
+//
+// Every refusal goes through fail and carries one body whatever the
+// endpoint, {"schemaVersion":1,"error":"…"}; 429 (queue full) and 503
+// (draining) add Retry-After — the client, not the server, owns the retry
+// budget. The deadline is TimeoutMs clamped to MaxTimeout (absent:
+// Config.DefaultTimeout); it bounds the requester's wait, queueing
+// included, and an expired one surfaces as 504.
 
 import (
 	"context"
@@ -26,15 +27,15 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
-	"streamsched/internal/infeas"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
-	"streamsched/internal/sim"
 )
 
 // Config parameterizes a Handle (and therefore a Server). The zero value
@@ -148,10 +149,10 @@ func New(cfg Config) *Server {
 // of net/http's connection reset.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/solve", s.handleSolve)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("/v1/replan", s.handleReplan)
-	mux.HandleFunc("/v1/simulate", s.handleSimulate)
+	mux.HandleFunc("/v1/solve", s.route(&s.m.reqSolve, s.handleSolve))
+	mux.HandleFunc("/v1/batch", s.route(&s.m.reqBatch, s.handleBatch))
+	mux.HandleFunc("/v1/replan", s.route(&s.m.reqReplan, s.handleReplan))
+	mux.HandleFunc("/v1/simulate", s.route(&s.m.reqSimulate, s.handleSimulate))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -159,6 +160,17 @@ func (s *Server) Handler() http.Handler {
 	// Tracing wraps OUTSIDE recovery so a panicking handler still gets its
 	// trace finished (with the recovered 500 status) and logged.
 	return s.traceMiddleware(s.recoverMiddleware(mux))
+}
+
+// route wraps a /v1 handler: it counts the request on requests and
+// observes its latency, a panicking request's included.
+func (s *Server) route(requests *atomic.Int64, handle http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		start := time.Now()
+		defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
+		handle(w, r)
+	}
 }
 
 // recoverMiddleware is the handler-goroutine panic boundary. The 500 is
@@ -170,53 +182,11 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.m.panics.Add(1)
-				s.writeJSON(w, http.StatusInternalServerError, SolveResponse{
-					SchemaVersion: Version,
-					Error:         fmt.Sprintf("%v: %v", ErrInternalPanic, rec),
-				})
+				s.fail(w, http.StatusInternalServerError, fmt.Errorf("%w: %v", ErrInternalPanic, rec))
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// foldInfeasible converts an infeasibility error into a cacheable outcome;
-// any other error propagates.
-func foldInfeasible(err error) (outcome, error) {
-	var ie *infeas.Error
-	if errors.As(err, &ie) {
-		return outcome{infeas: ie}, nil
-	}
-	if errors.Is(err, infeas.ErrInfeasible) {
-		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
-	}
-	return outcome{}, err
-}
-
-// renderOutcome serializes the schedule once, at solve time; cache hits
-// reuse the rendered bytes instead of re-marshalling the schedule struct.
-func renderOutcome(sched *schedule.Schedule) (outcome, error) {
-	raw, err := json.Marshal(sched)
-	if err != nil {
-		return outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
-	}
-	return outcome{sched: sched, schedJSON: raw, summary: summarize(sched)}, nil
-}
-
-// requestContext applies the per-request deadline, clamped to MaxTimeout.
-// The clamp compares in milliseconds before converting — multiplying an
-// absurd TimeoutMs into a time.Duration first could wrap to an arbitrary
-// small value.
-func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		if int64(timeoutMs) > int64(s.cfg.MaxTimeout/time.Millisecond) {
-			d = s.cfg.MaxTimeout
-		} else {
-			d = time.Duration(timeoutMs) * time.Millisecond
-		}
-	}
-	return context.WithTimeout(r.Context(), d)
 }
 
 // ---- HTTP plumbing ----------------------------------------------------
@@ -229,6 +199,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body) // write errors mean the client is gone
 	s.m.countResponse(status)
+}
+
+// fail refuses a request with status and the error body every endpoint
+// shares. 429 (queue full) and 503 (draining) both mean "come back
+// later"; Retry-After carries the hint either way.
+func (s *Server) fail(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	}
+	s.writeJSON(w, status, SolveResponse{SchemaVersion: Version, Error: err.Error()})
 }
 
 // errorStatus maps a pipeline error to its HTTP status.
@@ -257,35 +237,6 @@ func errorStatus(err error) int {
 // cancelled"; no standard constant exists.
 const statusClientClosedRequest = 499
 
-// writeError renders a pipeline error in a SolveResponse envelope,
-// attaching Retry-After to 429s.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), SolveResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// writeBatchError is writeError in the BatchResponse envelope, so batch
-// clients decode every /v1/batch body into one documented type.
-func (s *Server) writeBatchError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), BatchResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// writeReplanError is writeError in the ReplanResponse envelope.
-func (s *Server) writeReplanError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), ReplanResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// errorHeaders maps the error to its status and sets error-specific
-// headers on the way.
-func (s *Server) errorHeaders(w http.ResponseWriter, err error) int {
-	status := errorStatus(err)
-	// 429 (queue full) and 503 (draining) both mean "come back later";
-	// Retry-After carries the hint either way.
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	return status
-}
-
 func retryAfterSeconds(d time.Duration) int {
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -294,24 +245,77 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// decodeRequest parses the body into dst, enforcing method and size; the
-// caller checks the decoded schema version with checkSchemaVersion. It
-// reports (status, error) on failure, (0, nil) on success.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
+// wireRequest is what the decode path reads of every /v1 request.
+type wireRequest interface {
+	header() (schemaVersion, timeoutMs int)
+}
+
+// decode is the request path of every /v1 handler (see the file header):
+// it reads the body into req, runs check — the endpoint's own validation
+// of the decoded req — and on success returns the request context under
+// the request's deadline. The clamp compares in milliseconds before
+// converting: an absurd TimeoutMs multiplied into a time.Duration first
+// could wrap to an arbitrary small value.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req wireRequest, check func() error) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	ds := obs.FromContext(r.Context()).Child("decode")
+	refuse := func(status int, err error) (context.Context, context.CancelFunc, bool) {
+		ds.End()
+		s.fail(w, status, err)
+		return nil, nil, false
+	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		return http.StatusMethodNotAllowed, fmt.Errorf("service: %s requires POST", r.URL.Path)
+		return refuse(http.StatusMethodNotAllowed, fmt.Errorf("service: %s requires POST", r.URL.Path))
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(dst); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", tooBig.Limit)
+			return refuse(http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", tooBig.Limit))
 		}
-		return http.StatusBadRequest, fmt.Errorf("service: invalid JSON: %w", err)
+		return refuse(http.StatusBadRequest, fmt.Errorf("service: invalid JSON: %w", err))
 	}
-	return 0, nil
+	version, timeoutMs := req.header()
+	if err := checkSchemaVersion(version); err != nil {
+		return refuse(http.StatusBadRequest, err)
+	}
+	if err := check(); err != nil {
+		return refuse(http.StatusBadRequest, err)
+	}
+	ds.End()
+	d := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		if int64(timeoutMs) > int64(s.cfg.MaxTimeout/time.Millisecond) {
+			d = s.cfg.MaxTimeout
+		} else {
+			d = time.Duration(timeoutMs) * time.Millisecond
+		}
+	}
+	ctx, cancel = context.WithTimeout(r.Context(), d)
+	return ctx, cancel, true
+}
+
+// settle closes the Handle step of a request: it stamps the root span sp
+// with the request's cache key prefix and outcome label ("error" when err
+// is set) — what the request log and /debug/traces lead with — and
+// refuses a pipeline error with its status. It reports whether a result
+// is left to render.
+func (s *Server) settle(w http.ResponseWriter, sp obs.SpanRef, out Outcome, label string, err error) bool {
+	if err != nil {
+		label = "error"
+	}
+	if sp.Active() {
+		if hash := out.Hash; len(hash) > 12 {
+			sp.SetArg("hash", hash[:12])
+		} else if hash != "" {
+			sp.SetArg("hash", hash)
+		}
+		sp.SetArg("outcome", label)
+	}
+	if err != nil {
+		s.fail(w, errorStatus(err), err)
+		return false
+	}
+	return true
 }
 
 // buildProblem decodes one (graph, platform, options) triple.
@@ -331,62 +335,6 @@ func buildProblem(g Graph, p Platform, o Options) (*dag.Graph, *platform.Platfor
 	return dg, pp, sv, nil
 }
 
-// ---- Handlers ---------------------------------------------------------
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.m.reqSolve.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
-	var req SolveRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
-		ds.End()
-		s.writeJSON(w, status, SolveResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, SolveResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	ds.End()
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, SolveResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	out, err := s.Handle.Solve(ctx, Spec{Graph: g, Platform: p, Solver: sv})
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, err)
-		return
-	}
-	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
-	rs := sp.Child("render")
-	s.writeJSON(w, solveStatus(out), solveResponse(out))
-	rs.End()
-}
-
-// setTraceOutcome stamps the root span with the request's cache key prefix
-// and outcome label — what the request log and /debug/traces lead with.
-func setTraceOutcome(sp obs.SpanRef, hash, outcome string) {
-	if !sp.Active() {
-		return
-	}
-	if len(hash) > 12 {
-		hash = hash[:12]
-	}
-	if hash != "" {
-		sp.SetArg("hash", hash)
-	}
-	sp.SetArg("outcome", outcome)
-}
-
 // outcomeLabel classifies a successful Outcome for traces and logs.
 func outcomeLabel(out Outcome) string {
 	switch {
@@ -403,344 +351,215 @@ func outcomeLabel(out Outcome) string {
 
 // solveResponse renders one Outcome in the SolveResponse envelope.
 func solveResponse(out Outcome) SolveResponse {
-	resp := SolveResponse{
+	return SolveResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
 		Coalesced:     out.Coalesced,
+		Schedule:      out.ScheduleJSON,
+		Summary:       out.Summary,
+		Infeasible:    out.Infeasible,
 	}
-	if out.Infeasible != nil {
-		resp.Infeasible = out.Infeasible
-		return resp
-	}
-	resp.Schedule = out.ScheduleJSON
-	resp.Summary = out.Summary
-	return resp
 }
 
-// solveStatus maps an Outcome to its HTTP status.
-func solveStatus(out Outcome) int {
+// resultStatus maps an Outcome to its HTTP status.
+func resultStatus(out Outcome) int {
 	if out.Infeasible != nil {
 		return http.StatusConflict
 	}
 	return http.StatusOK
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.reqBatch.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
+// batchRefusal returns the admission error that refused every problem of
+// a batch (ErrQueueFull or ErrDraining), or nil.
+func batchRefusal(results []BatchResult) error {
+	for _, refusal := range [...]error{ErrQueueFull, ErrDraining} {
+		all := true
+		for i := range results {
+			all = all && errors.Is(results[i].Err, refusal)
+		}
+		if all {
+			return refusal
+		}
+	}
+	return nil
+}
 
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
-	var req BatchRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
-		ds.End()
-		s.writeJSON(w, status, BatchResponse{SchemaVersion: Version, Error: err.Error()})
+// ---- Handlers ---------------------------------------------------------
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	var req SolveRequest
+	var spec Spec
+	ctx, cancel, ok := s.decode(w, r, &req, func() (err error) {
+		spec.Graph, spec.Platform, spec.Solver, err = buildProblem(req.Graph, req.Platform, req.Options)
+		return err
+	})
+	if !ok {
 		return
 	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, BatchResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if len(req.Problems) == 0 {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, BatchResponse{SchemaVersion: Version, Error: "service: batch has no problems"})
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
-
-	// Decode every problem; undecodable ones get their error slot and the
-	// rest go through the in-process batch pipeline.
-	decodeErrs := make([]error, len(req.Problems))
-	specs := make([]Spec, 0, len(req.Problems))
-	specIdx := make([]int, 0, len(req.Problems))
-	for i, bp := range req.Problems {
-		opts := req.Options
-		if bp.Options != nil {
-			opts = *bp.Options
-		}
-		g, p, sv, err := buildProblem(bp.Graph, bp.Platform, opts)
-		if err != nil {
-			decodeErrs[i] = err
-			continue
-		}
-		specs = append(specs, Spec{Graph: g, Platform: p, Solver: sv})
-		specIdx = append(specIdx, i)
+	out, err := s.Handle.Solve(ctx, spec)
+	sp := obs.FromContext(r.Context())
+	if !s.settle(w, sp, out, outcomeLabel(out), err) {
+		return
 	}
-	ds.End()
-	if sp.Active() {
+	rs := sp.Child("render")
+	s.writeJSON(w, resultStatus(out), solveResponse(out))
+	rs.End()
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	var results []BatchResult
+	var specs []Spec
+	var specIdx []int
+	ctx, cancel, ok := s.decode(w, r, &req, func() error {
+		if len(req.Problems) == 0 {
+			return errors.New("service: batch has no problems")
+		}
+		// An undecodable problem gets its error slot; the rest go through
+		// the in-process batch pipeline.
+		results = make([]BatchResult, len(req.Problems))
+		specs = make([]Spec, 0, len(req.Problems))
+		specIdx = make([]int, 0, len(req.Problems))
+		for i, bp := range req.Problems {
+			opts := req.Options
+			if bp.Options != nil {
+				opts = *bp.Options
+			}
+			g, p, sv, err := buildProblem(bp.Graph, bp.Platform, opts)
+			if err != nil {
+				results[i].Err = err
+				continue
+			}
+			specs = append(specs, Spec{Graph: g, Platform: p, Solver: sv})
+			specIdx = append(specIdx, i)
+		}
+		return nil
+	})
+	if !ok {
+		return
+	}
+	defer cancel()
+	if sp := obs.FromContext(r.Context()); sp.Active() {
 		sp.SetArg("problems", len(req.Problems))
 	}
-	batchResults := s.Handle.SolveBatch(ctx, specs)
-	results := make([]BatchResult, len(req.Problems))
-	for i, err := range decodeErrs {
-		if err != nil {
-			results[i] = BatchResult{Err: err}
-		}
-	}
-	for k, i := range specIdx {
-		results[i] = batchResults[k]
+	for k, res := range s.Handle.SolveBatch(ctx, specs) {
+		results[specIdx[k]] = res
 	}
 
-	// A batch whose every problem was rejected by admission is a rejected
-	// batch: surface the 429 (with Retry-After) rather than a 200 full of
-	// queue-full errors. Mixed outcomes keep the 200 envelope with
+	// A batch whose every problem was refused by admission is a refused
+	// batch: surface the 429 or 503 (with Retry-After) rather than a 200
+	// full of identical refusals. Mixed outcomes keep the 200 envelope with
 	// per-problem errors — cached results must not be discarded.
-	allRejected := true
-	for i := range results {
-		if !errors.Is(results[i].Err, ErrQueueFull) {
-			allRejected = false
-			break
-		}
-	}
-	if allRejected && len(results) > 0 {
-		s.writeBatchError(w, ErrQueueFull)
+	if err := batchRefusal(results); err != nil {
+		s.fail(w, errorStatus(err), err)
 		return
 	}
-
 	resp := BatchResponse{SchemaVersion: Version, Results: make([]SolveResponse, len(results))}
-	for i := range results {
-		if err := results[i].Err; err != nil {
-			resp.Results[i] = SolveResponse{SchemaVersion: Version, Hash: results[i].Outcome.Hash, Error: err.Error()}
+	for i, res := range results {
+		if res.Err != nil {
+			resp.Results[i] = SolveResponse{SchemaVersion: Version, Hash: res.Outcome.Hash, Error: res.Err.Error()}
 			continue
 		}
-		resp.Results[i] = solveResponse(results[i].Outcome)
+		resp.Results[i] = solveResponse(res.Outcome)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
-	s.m.reqReplan.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
 	var req ReplanRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
-		ds.End()
-		s.writeJSON(w, status, ReplanResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	badRequest := func(err error) {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, ReplanResponse{SchemaVersion: Version, Error: err.Error()})
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		badRequest(err)
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	if len(req.Schedule) == 0 {
-		badRequest(errors.New("service: replan requires the committed schedule"))
-		return
-	}
-	old, err := schedule.LoadJSON(req.Schedule, g, p)
-	if err != nil {
-		badRequest(fmt.Errorf("service: decoding schedule: %w", err))
-		return
-	}
-	// The committed schedule must agree with the solver options on the
-	// replication degree and the period; a mismatch is a client error, not
-	// a computation to admit.
-	if old.Eps != req.Options.Eps || old.Period != req.Options.Period {
-		badRequest(fmt.Errorf("service: options (eps=%d, period=%v) do not match the schedule (eps=%d, period=%v)",
-			req.Options.Eps, req.Options.Period, old.Eps, old.Period))
-		return
-	}
-	if req.RepairBudget < 0 {
-		badRequest(fmt.Errorf("service: negative repair budget %d", req.RepairBudget))
-		return
-	}
-	delta := req.Delta.Build()
-	if _, _, err := delta.Apply(p); err != nil {
-		badRequest(err)
-		return
-	}
-	ds.End()
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	out, err := s.Handle.Replan(ctx, ReplanSpec{
-		Old:            old,
-		Solver:         sv,
-		Delta:          delta,
-		RepairBudget:   req.RepairBudget,
-		NoColdFallback: req.NoColdFallback,
+	var spec ReplanSpec
+	ctx, cancel, ok := s.decode(w, r, &req, func() error {
+		g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
+		if err != nil {
+			return err
+		}
+		if len(req.Schedule) == 0 {
+			return errors.New("service: replan requires the committed schedule")
+		}
+		old, err := schedule.LoadJSON(req.Schedule, g, p)
+		if err != nil {
+			return fmt.Errorf("service: decoding schedule: %w", err)
+		}
+		// The committed schedule must agree with the solver options on the
+		// replication degree and the period; a mismatch is a client error,
+		// not a computation to admit.
+		if old.Eps != req.Options.Eps || old.Period != req.Options.Period {
+			return fmt.Errorf("service: options (eps=%d, period=%v) do not match the schedule (eps=%d, period=%v)",
+				req.Options.Eps, req.Options.Period, old.Eps, old.Period)
+		}
+		if req.RepairBudget < 0 {
+			return fmt.Errorf("service: negative repair budget %d", req.RepairBudget)
+		}
+		spec = ReplanSpec{Old: old, Solver: sv, Delta: req.Delta.Build(),
+			RepairBudget: req.RepairBudget, NoColdFallback: req.NoColdFallback}
+		_, _, err = spec.Delta.Apply(p)
+		return err
 	})
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeReplanError(w, err)
+	if !ok {
 		return
 	}
-	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
+	defer cancel()
+	out, err := s.Handle.Replan(ctx, spec)
+	sp := obs.FromContext(r.Context())
+	if !s.settle(w, sp, out, outcomeLabel(out), err) {
+		return
+	}
 	resp := ReplanResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
 		Coalesced:     out.Coalesced,
+		Schedule:      out.ScheduleJSON,
+		Summary:       out.Summary,
+		Replan:        replanStatsDTO(out.Replan),
+		Infeasible:    out.Infeasible,
 	}
 	if out.Infeasible != nil {
-		resp.Infeasible = out.Infeasible
 		s.writeJSON(w, http.StatusConflict, resp)
 		return
 	}
-	resp.Schedule = out.ScheduleJSON
-	resp.Summary = out.Summary
-	resp.Replan = replanStatsDTO(out.Replan)
 	rs := sp.Child("render")
 	s.writeJSON(w, http.StatusOK, resp)
 	rs.End()
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.m.reqSimulate.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
 	var req SimulateRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
-		ds.End()
-		s.writeJSON(w, status, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	ds.End()
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	scenarios := req.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = []Scenario{{}}
-	}
-	for _, sc := range scenarios {
-		for _, u := range sc.CrashProcs {
-			if u < 0 || u >= p.NumProcs() {
-				s.writeJSON(w, http.StatusBadRequest, SimulateResponse{
-					SchemaVersion: Version, Error: fmt.Sprintf("service: crash processor %d out of range [0,%d)", u, p.NumProcs()),
-				})
-				return
-			}
+	var spec Spec
+	ctx, cancel, ok := s.decode(w, r, &req, func() (err error) {
+		spec.Graph, spec.Platform, spec.Solver, err = buildProblem(req.Graph, req.Platform, req.Options)
+		if err != nil {
+			return err
 		}
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	// Solve through the shared cache/coalescing path (same hash space as
-	// /v1/solve), then run the sweep as its own admitted work unit. The
-	// two acquisitions are sequential, never nested, so a Workers=1 server
-	// cannot deadlock against its own solve.
-	out, err := s.Solve(ctx, Spec{Graph: g, Platform: p, Solver: sv})
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, err)
+		return checkScenarios(req.Scenarios, spec.Platform.NumProcs())
+	})
+	if !ok {
 		return
 	}
-	setTraceOutcome(sp, out.Hash, "simulated")
+	defer cancel()
+	// Solve through the shared cache/coalescing path (same hash space as
+	// /v1/solve), then sweep the scenarios behind the Handle.
+	out, err := s.Handle.Solve(ctx, spec)
+	if !s.settle(w, obs.FromContext(r.Context()), out, "simulated", err) {
+		return
+	}
 	resp := SimulateResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
 		Coalesced:     out.Coalesced,
+		Summary:       out.Summary,
+		Infeasible:    out.Infeasible,
 	}
-	if out.Infeasible != nil {
-		resp.Infeasible = out.Infeasible
-		s.writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	resp.Summary = out.Summary
-
-	sched := out.Schedule
-	if sched == nil {
-		// The outcome was restored from a snapshot, which keeps only the
-		// rendered bytes (persist.go); rebuild the in-memory schedule from
-		// them against this request's decoded problem — an identical hash
-		// means an identical problem.
-		sched, err = schedule.LoadJSON(out.ScheduleJSON, g, p)
-		if err != nil {
-			s.writeError(w, err)
+	if out.Infeasible == nil {
+		if resp.Scenarios, err = s.simulate(ctx, spec, out, req.Scenarios); err != nil {
+			s.fail(w, errorStatus(err), err)
 			return
 		}
 	}
-
-	release, err := s.admitTraced(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
-
-	sim1 := sp.Child("simulate")
-	if sim1.Active() {
-		sim1.SetArg("scenarios", len(scenarios))
-	}
-	// One engine for the whole sweep: the derived schedule tables and the
-	// simulation state buffers are built once and reused per scenario.
-	eng, err := sim.NewEngine(sched)
-	if err != nil {
-		sim1.End()
-		s.writeError(w, err)
-		return
-	}
-	resp.Scenarios = make([]ScenarioResult, 0, len(scenarios))
-	for _, sc := range scenarios {
-		res, err := s.runScenario(ctx, eng, sched, sc)
-		if err != nil {
-			sim1.End()
-			s.writeError(w, err)
-			return
-		}
-		resp.Scenarios = append(resp.Scenarios, res)
-	}
-	sim1.End()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// runScenario executes one scenario on the request's engine.
-func (s *Server) runScenario(ctx context.Context, eng *sim.Engine, sched *schedule.Schedule, sc Scenario) (ScenarioResult, error) {
-	cfg := sim.DefaultConfig(sched)
-	if sc.Items > 0 {
-		cfg.Items = sc.Items
-	}
-	if sc.Warmup > 0 {
-		cfg.Warmup = sc.Warmup
-	}
-	cfg.Synchronous = sc.Synchronous
-	if len(sc.CrashProcs) > 0 {
-		procs := make([]platform.ProcID, len(sc.CrashProcs))
-		for i, u := range sc.CrashProcs {
-			procs[i] = platform.ProcID(u)
-		}
-		cfg.Failures = sim.FailureSpec{Procs: procs, At: sc.CrashAt}
-	}
-	s.m.simRuns.Add(1)
-	res, err := eng.Run(ctx, cfg)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return ScenarioResult{
-		Name:           sc.Name,
-		MeanLatency:    jsonFloat(res.MeanLatency),
-		MaxLatency:     jsonFloat(res.MaxLatency),
-		AchievedPeriod: jsonFloat(res.AchievedPeriod),
-		Delivered:      res.Delivered,
-		Items:          res.Items,
-	}, nil
+	s.writeJSON(w, resultStatus(out), resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

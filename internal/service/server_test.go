@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -380,6 +381,31 @@ func TestBatchAllRejectedReturns429(t *testing.T) {
 	}
 }
 
+// TestBatchDrainingReturns503: a batch refused whole by a drain answers
+// like every other endpoint on a draining handle — 503 with Retry-After
+// and the shared error body — not a 200 full of per-problem refusals.
+func TestBatchDrainingReturns503(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	srv.Drain(context.Background())
+
+	r := feasibleRequest(2)
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{
+		Options:  r.Options,
+		Problems: []BatchProblem{{Graph: r.Graph, Platform: r.Platform}, {Graph: r.Graph, Platform: r.Platform}},
+	})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining batch: status %d, want 503 (%s)", resp.StatusCode, data)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 batch without Retry-After")
+	}
+	if want := `{"schemaVersion":1,"error":"` + ErrDraining.Error() + `"}` + "\n"; string(data) != want {
+		t.Fatalf("body %q, want %q", data, want)
+	}
+}
+
 // TestLeaderRechecksCacheAfterClaim pins the solve-once invariant across
 // the flight-handoff race: a requester that missed the cache but won its
 // Claim only after a previous flight fulfilled must serve the cached
@@ -660,6 +686,47 @@ func TestSimulateValidatesCrashProcs(t *testing.T) {
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+}
+
+// TestSimulateBoundsScenarioItems: an item count above maxScenarioItems
+// is a 400 with a stable prefix, never an allocation the simulator cannot
+// survive; the bound itself is served.
+func TestSimulateBoundsScenarioItems(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	base := feasibleRequest(2)
+	for _, tc := range []struct {
+		items  int
+		status int
+	}{
+		{1 << 62, http.StatusBadRequest},
+		{maxScenarioItems + 1, http.StatusBadRequest},
+		{maxScenarioItems, http.StatusOK},
+	} {
+		req := SimulateRequest{
+			Graph: base.Graph, Platform: base.Platform, Options: base.Options,
+			Scenarios: []Scenario{{Name: "ok"}, {Items: tc.items}},
+		}
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", req)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("items=%d: status %d, want %d (%s)", tc.items, resp.StatusCode, tc.status, data)
+		}
+		var sr SimulateResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if tc.status == http.StatusBadRequest && !strings.HasPrefix(sr.Error, "service: too many scenario items") {
+			t.Errorf("items=%d: error %q lacks the stable prefix", tc.items, sr.Error)
+		}
+		if tc.status == http.StatusOK && (len(sr.Scenarios) != 2 || sr.Scenarios[1].Items != tc.items) {
+			t.Errorf("items=%d: scenarios %+v", tc.items, sr.Scenarios)
+		}
+	}
+	if m := srv.Metrics(); m.Panics != 0 || m.SimRuns != 2 {
+		t.Fatalf("panics %d, simRuns %d; want 0 and 2", m.Panics, m.SimRuns)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package service turns the solving and simulation stack into a long-running
 // scheduling service: versioned JSON DTOs for problems and results (this
 // file), a canonical problem hash (hash.go) keying a size-bounded LRU result
-// cache (cache.go) with singleflight coalescing (flight.go), an admission
-// layer with a bounded work queue and per-request deadlines (server.go), and
-// request/latency metrics (metrics.go). cmd/streamschedd serves the HTTP
-// surface; the façade re-exports the client-side types.
+// cache (cache.go) with singleflight coalescing (flight.go), admission with
+// a bounded work queue and the simulate sweep behind the in-process Handle
+// (handle.go), an HTTP adapter that decodes, applies per-request deadlines
+// and renders (server.go), and request/latency metrics (metrics.go).
+// cmd/streamschedd serves the HTTP surface; the façade re-exports the
+// client-side types.
 //
 // Wire contract. Every request carries an explicit "schemaVersion" (0 is
 // read as the current Version, so hand-written payloads may omit it; an
@@ -243,6 +245,8 @@ type SolveRequest struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
+func (r *SolveRequest) header() (int, int) { return r.SchemaVersion, r.TimeoutMs }
+
 // ScheduleSummary carries the headline metrics of a schedule so clients
 // need not parse the full interchange document.
 type ScheduleSummary struct {
@@ -292,6 +296,8 @@ type BatchRequest struct {
 	TimeoutMs int     `json:"timeoutMs,omitempty"`
 }
 
+func (r *BatchRequest) header() (int, int) { return r.SchemaVersion, r.TimeoutMs }
+
 // BatchResponse carries one SolveResponse per problem, in request order.
 // Request-level failures (malformed JSON, unsupported version, empty
 // batch, whole-batch rejection) set Error and leave Results empty.
@@ -313,6 +319,26 @@ type Scenario struct {
 	// CrashProcs/CrashAt inject fail-stop processor crashes.
 	CrashProcs []int   `json:"crashProcs,omitempty"`
 	CrashAt    float64 `json:"crashAt,omitempty"`
+}
+
+// maxScenarioItems bounds Scenario.Items: the simulator sizes its per-item
+// state up front (items × exit tasks). sim.DefaultConfig runs 3S+40 items.
+const maxScenarioItems = 10_000
+
+// checkScenarios refuses item counts above maxScenarioItems (stable prefix
+// "service: too many scenario items") and crash processors outside [0,m).
+func checkScenarios(scenarios []Scenario, m int) error {
+	for i, sc := range scenarios {
+		if sc.Items > maxScenarioItems {
+			return fmt.Errorf("service: too many scenario items: scenario %d asks for %d, the bound is %d", i, sc.Items, maxScenarioItems)
+		}
+		for _, u := range sc.CrashProcs {
+			if u < 0 || u >= m {
+				return fmt.Errorf("service: crash processor %d out of range [0,%d)", u, m)
+			}
+		}
+	}
+	return nil
 }
 
 // ScenarioResult reports one scenario's measurements. Latency fields are
@@ -338,6 +364,8 @@ type SimulateRequest struct {
 	Scenarios []Scenario `json:"scenarios,omitempty"`
 	TimeoutMs int        `json:"timeoutMs,omitempty"`
 }
+
+func (r *SimulateRequest) header() (int, int) { return r.SchemaVersion, r.TimeoutMs }
 
 // SimulateResponse reports the solve outcome and the per-scenario
 // measurements.
@@ -465,6 +493,8 @@ type ReplanRequest struct {
 	NoColdFallback bool `json:"noColdFallback,omitempty"`
 	TimeoutMs      int  `json:"timeoutMs,omitempty"`
 }
+
+func (r *ReplanRequest) header() (int, int) { return r.SchemaVersion, r.TimeoutMs }
 
 // ReplanResponse is the /v1/replan result. Exactly one of Schedule (with
 // Summary and Replan), Infeasible and Error is populated.

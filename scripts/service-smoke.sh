@@ -320,7 +320,10 @@ grep -q '^streamsched_request_latency_ms{quantile="0.99"} ' "$workdir/metrics.pr
 	echo "FAIL: prometheus scrape missing latency quantiles" >&2
 	exit 1
 }
-curl -fsS -H 'Accept: text/plain' "$BASE/metrics" | grep -q '^streamsched_uptime_seconds ' || {
+# Scrape to a file first: under pipefail, grep -q exiting on the first
+# line would fail curl's write (exit 23) and the check with it.
+curl -fsS -H 'Accept: text/plain' "$BASE/metrics" >"$workdir/metrics.accept"
+grep -q '^streamsched_uptime_seconds ' "$workdir/metrics.accept" || {
 	echo "FAIL: Accept: text/plain scrape did not select the prometheus form" >&2
 	exit 1
 }
